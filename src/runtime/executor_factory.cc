@@ -31,6 +31,7 @@ std::string_view ExecutorKindName(ExecutorKind kind) {
 }
 
 Result<std::unique_ptr<Executor>> MakeExecutor(const ExecutorSpec& spec) {
+  TB_RETURN_IF_ERROR(spec.options.Validate());
   switch (spec.kind) {
     case ExecutorKind::kThreads:
       return std::unique_ptr<Executor>(

@@ -20,6 +20,7 @@
 
 #if !defined(_WIN32)
 #include <dirent.h>
+#include <sched.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -521,6 +522,22 @@ int CountProcessThreads() {
   return n;
 }
 
+/// CountProcessThreads, re-polled for up to 100 ms while it exceeds
+/// one. pthread_join returns once the kernel clears the thread's tid,
+/// which happens before the thread is unhashed from /proc/self/task,
+/// so a thread the caller has just joined can stay listed for a
+/// moment. A live second thread is still counted after the window.
+int SettledProcessThreads() {
+  int n = CountProcessThreads();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (n > 1 && std::chrono::steady_clock::now() < deadline) {
+    ::sched_yield();
+    n = CountProcessThreads();
+  }
+  return n;
+}
+
 /// Tasks queued to one worker beyond the one it is running — deep
 /// enough to hide dispatch latency, shallow enough that the
 /// coordinator keeps placement freedom (and far below the ring
@@ -533,6 +550,7 @@ bool MultiProcExecutor::Supported() { return true; }
 
 Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                                              const RunContext& ctx) {
+  TB_RETURN_IF_ERROR(options_.Validate());
   TB_RETURN_IF_ERROR(graph.Validate());
   const int64_t total = graph.num_tasks();
   const int64_t num_data = graph.num_data();
@@ -545,7 +563,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  const int caller_threads = CountProcessThreads();
+  const int caller_threads = SettledProcessThreads();
   if (caller_threads > 1) {
     return Status::FailedPrecondition(StrFormat(
         "MultiProcExecutor::Execute must be called from a single-threaded "
@@ -557,7 +575,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
         caller_threads));
   }
 
-  const int num_workers = std::max(1, options_.num_procs);
+  const int num_workers = options_.num_procs;
   const hw::Topology& topo = hw::DetectTopology();
   std::vector<int> worker_domain(static_cast<size_t>(num_workers), 0);
   for (int w = 0; w < num_workers; ++w) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "hw/cluster.h"
 #include "runtime/fault.h"
@@ -174,6 +175,13 @@ struct RunOptions {
   /// GPU compute time — spilling a 20x-slower task to a core creates
   /// stragglers instead of helping. OOM tasks always spill.
   double hybrid_max_cpu_slowdown = 4.0;
+
+  /// InvalidArgument naming the first bad field and its value:
+  /// num_threads or num_procs < 1, max_retries < 0, a negative or
+  /// non-finite retry_backoff_s, or an invalid `sched`. MakeExecutor
+  /// calls it, so no executor is built from a knob it would clamp or
+  /// abort on.
+  Status Validate() const;
 };
 
 }  // namespace taskbench::runtime

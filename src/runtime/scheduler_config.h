@@ -1,6 +1,8 @@
 #ifndef TASKBENCH_RUNTIME_SCHEDULER_CONFIG_H_
 #define TASKBENCH_RUNTIME_SCHEDULER_CONFIG_H_
 
+#include "common/status.h"
+
 namespace taskbench::runtime {
 
 /// Knobs of the cost-model scheduler family (docs/SCHEDULERS.md).
@@ -56,6 +58,11 @@ struct SchedulerConfig {
   /// classified GPU-or-CPU, so it takes an idle device instead of
   /// queueing for a core.
   double escalate_benefit = 2.0;
+
+  /// InvalidArgument naming the first bad field and its value: a
+  /// non-finite score weight, hedge_threshold < 1, hedge_min_s < 0 or
+  /// escalate_benefit <= 0 (the last three must also be finite).
+  Status Validate() const;
 };
 
 }  // namespace taskbench::runtime

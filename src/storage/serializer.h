@@ -43,7 +43,8 @@ class Serializer {
   /// Size in bytes Serialize() will produce for `m`.
   static uint64_t SerializedSize(const data::Matrix& m);
 
-  /// CRC-32 (IEEE 802.3 polynomial) of `data`.
+  /// CRC-32 (IEEE 802.3 polynomial, reflected, init and final XOR
+  /// 0xffffffff) of `data`, computed slice-by-16.
   static uint32_t Crc32(const uint8_t* data, size_t size);
 };
 

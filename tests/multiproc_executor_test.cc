@@ -431,7 +431,39 @@ TEST(MultiProcExecutorTest, MultiThreadedCallerIsRejected) {
   EXPECT_NE(report.status().message().find("single-threaded"),
             std::string::npos);
 }
+
+// A thread the caller has just joined can stay listed in
+// /proc/self/task for a moment after join returns; Execute must wait
+// that out rather than refuse a caller that is already single-threaded.
+TEST(MultiProcExecutorTest, JustJoinedThreadIsNotCountedAsLive) {
+  for (int i = 0; i < 200; ++i) {
+    TaskGraph graph;
+    const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+    const DataId out = graph.AddData(static_cast<uint64_t>(32));
+    ASSERT_TRUE(graph.Submit(SimpleTask(in, out, AddOneKernel())).ok());
+    std::thread([] {}).join();
+    MultiProcExecutor executor(ProcOptions(2));
+    auto report = executor.Execute(graph);
+    ASSERT_NE(report.status().code(), StatusCode::kFailedPrecondition)
+        << "iteration " << i << ": " << report.status().ToString();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  }
+}
 #endif  // __linux__
+
+TEST(MultiProcExecutorTest, NonPositiveProcCountIsRejectedNotClamped) {
+  TaskGraph graph;
+  const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+  const DataId out = graph.AddData(static_cast<uint64_t>(32));
+  ASSERT_TRUE(graph.Submit(SimpleTask(in, out, AddOneKernel())).ok());
+  for (const int procs : {0, -3}) {
+    MultiProcExecutor executor(ProcOptions(procs));
+    auto report = executor.Execute(graph);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("num_procs"), std::string::npos);
+  }
+}
 
 TEST(MultiProcExecutorTest, CrashWithoutRetryBudgetFailsTheRun) {
   void* page = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,

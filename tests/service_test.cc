@@ -351,6 +351,11 @@ TEST(WorkflowServiceTest, ShutdownCancelsPendingAndRefusesNew) {
   ASSERT_TRUE(queued.ok());
 
   std::thread shutdown_thread([&] { service.Shutdown(); });
+  // Release the running graph only once Shutdown has cancelled the
+  // queued one; opened earlier, the runner can dequeue it first.
+  while (service.Poll(*queued)->state != SubmissionState::kDone) {
+    std::this_thread::yield();
+  }
   gate.Open();
   shutdown_thread.join();
 
