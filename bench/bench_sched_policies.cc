@@ -26,6 +26,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/args.h"
@@ -33,6 +34,7 @@
 #include "common/strings.h"
 #include "common/units.h"
 #include "hw/cluster.h"
+#include "hw/topology.h"
 #include "runtime/fault.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/task_graph.h"
@@ -116,6 +118,13 @@ Row RunLeg(const char* workload, const Variant& v,
 std::string ToJson(const std::vector<Row>& rows, bool smoke) {
   std::string out = "{\n";
   out += StrFormat("  \"smoke\": %s,\n", smoke ? "true" : "false");
+  // Host of the recording. Every number below is simulated, so it
+  // must not depend on the host; the fields say where it was checked.
+  out += StrFormat("  \"hardware_threads\": %u,\n",
+                   std::thread::hardware_concurrency());
+  out += StrFormat("  \"cpu_model\": \"%s\",\n", hw::HostCpuModel().c_str());
+  out += StrFormat("  \"numa_domains\": %d,\n",
+                   hw::DetectTopology().num_domains());
   out += "  \"runs\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -34,6 +34,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "data/matrix.h"
+#include "hw/topology.h"
 #include "obs/json.h"
 #include "runtime/executor_factory.h"
 #include "runtime/thread_pool_executor.h"
@@ -209,6 +210,12 @@ int Main(int argc, char** argv) {
   std::string json = "{\n";
   json += StrFormat("  \"smoke\": %s,\n", smoke ? "true" : "false");
   json += StrFormat("  \"duration_s\": %.3f,\n", duration_s);
+  json += StrFormat("  \"hardware_threads\": %u,\n",
+                    std::thread::hardware_concurrency());
+  json += StrFormat("  \"cpu_model\": \"%s\",\n",
+                    hw::HostCpuModel().c_str());
+  json += StrFormat("  \"numa_domains\": %d,\n",
+                    hw::DetectTopology().num_domains());
   json += "  \"executor\": \"simulated\",\n";
   json += StrFormat("  \"runners\": %d,\n", runners);
   json += StrFormat("  \"max_in_flight\": %d,\n", options.max_in_flight);

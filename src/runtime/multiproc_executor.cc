@@ -110,6 +110,7 @@ struct CompletionMsg {
 /// the MAP_SHARED control segment, so both sides see the same atomics.
 struct WorkerChannel {
   SpscRing<TaskMsg, 1024> inbox;       ///< coordinator produces
+  Doorbell inbox_bell;                 ///< rung after each inbox push
   SpscRing<CompletionMsg, 256> outbox; ///< worker produces
 };
 
@@ -119,6 +120,9 @@ struct ControlHeader {
   /// for the whole box) nanoseconds captured just before fork, so
   /// coordinator and worker timestamps land on one axis.
   int64_t origin_ns = 0;
+  /// Rung by a worker after each outbox push; the idle coordinator
+  /// waits on it for the next completion from any worker.
+  Doorbell completions;
 };
 
 /// One worker's block-cache counters, in the MAP_SHARED control
@@ -162,18 +166,6 @@ Result<uint64_t> StageBlock(storage::ShmArena& arena, const data::Matrix& m) {
   return offset;
 }
 
-/// Coordinator-side: stage `m` and publish it in the directory slot
-/// of `d` immediately (used for the pre-fork initial values). The
-/// directory stores offset+1 so 0 keeps meaning "never written"; the
-/// release store pairs with readers' acquire loads, making the
-/// payload bytes visible with the offset.
-Status PublishBlock(storage::ShmArena& arena, std::atomic<uint64_t>* directory,
-                    DataId d, const data::Matrix& m) {
-  TB_ASSIGN_OR_RETURN(const uint64_t offset, StageBlock(arena, m));
-  directory[d].store(offset + 1, std::memory_order_release);
-  return Status::OK();
-}
-
 /// Deserializes the arena record a (nonzero) directory tag points at.
 /// Records are immutable once staged and offsets are never reused, so
 /// a tag identifies one block version forever — which is what makes
@@ -184,19 +176,6 @@ Result<data::Matrix> ReadBlockAt(const storage::ShmArena& arena,
   uint64_t payload = 0;
   std::memcpy(&payload, record, sizeof(payload));
   return storage::Serializer::Deserialize(record + 8, payload);
-}
-
-Result<data::Matrix> ReadBlock(const storage::ShmArena& arena,
-                               const std::atomic<uint64_t>* directory,
-                               DataId d) {
-  const uint64_t tag = directory[d].load(std::memory_order_acquire);
-  if (tag == 0) {
-    return Status::NotFound(
-        StrFormat("datum %lld has no record in the shm directory; was it "
-                  "ever written?",
-                  static_cast<long long>(d)));
-  }
-  return ReadBlockAt(arena, tag);
 }
 
 void SetError(CompletionMsg* msg, const Status& status) {
@@ -408,11 +387,17 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
   return out;
 }
 
+/// Longest a parked worker sleeps before it checks that its
+/// coordinator is still alive. Dispatch and shutdown ring the worker's
+/// bell, so the slice only bounds how long an orphan lingers.
+constexpr std::chrono::milliseconds kWorkerWaitSlice{10};
+
 /// Worker process main loop. Never returns — exits with _exit so the
 /// child skips atexit handlers, stdio flushing of inherited buffers
 /// and (under sanitizers) the leak check, all of which belong to the
 /// coordinator.
-[[noreturn]] void WorkerMain(int worker_id, const TaskGraph& graph,
+[[noreturn]] void WorkerMain(int worker_id, pid_t coordinator,
+                             const TaskGraph& graph,
                              storage::ShmArena& arena, ControlHeader* header,
                              WorkerChannel* channel,
                              std::atomic<uint64_t>* directory,
@@ -431,17 +416,23 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
   if (cache_bytes > 0) cache.emplace(cache_bytes);
   uint64_t seen_epoch = 0;
   const int64_t origin_ns = header->origin_ns;
-  int idle_polls = 0;
+  const auto stopping = [header] {
+    return header->shutdown.load(std::memory_order_acquire) != 0;
+  };
   for (;;) {
     TaskMsg msg;
     if (!channel->inbox.Pop(&msg)) {
-      if (header->shutdown.load(std::memory_order_acquire) != 0) _exit(0);
-      if (++idle_polls > 256) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      if (stopping()) _exit(0);
+      // Park until the coordinator rings. A coordinator killed
+      // outright (the OOM killer picks the largest process) never
+      // raises the shutdown flag, so a wait that times out also checks
+      // that this worker has not been re-parented.
+      const bool rung = channel->inbox_bell.Wait(
+          [&] { return channel->inbox.size() != 0 || stopping(); },
+          kWorkerWaitSlice);
+      if (!rung && ::getppid() != coordinator) _exit(1);
       continue;
     }
-    idle_polls = 0;
     if (cache.has_value() && msg.epoch != seen_epoch) {
       // The coordinator republished at least one directory slot since
       // our last dispatch: sweep entries whose tag moved on, so dead
@@ -467,6 +458,7 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
     while (!channel->outbox.Push(done)) {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
+    header->completions.Ring();
   }
 }
 
@@ -543,6 +535,12 @@ int SettledProcessThreads() {
 /// coordinator keeps placement freedom (and far below the ring
 /// capacity, so Push never blocks).
 constexpr int kMaxInflightPerWorker = 4;
+
+/// Longest an idle coordinator waits for a completion before it
+/// re-checks worker liveness and cancellation; a pending retry backoff
+/// shortens the wait to its due time. The slice bounds how late a
+/// dead worker, a cancel or a due retry is noticed.
+constexpr std::chrono::milliseconds kCoordinatorWaitSlice{1};
 
 }  // namespace
 
@@ -629,12 +627,19 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       reinterpret_cast<CacheStatsSlot*>(control.base() + cache_stats_off);
   for (int w = 0; w < num_workers; ++w) new (&cache_stats[w]) CacheStatsSlot();
 
-  // Stage initial values into the arena (coordinator-side, pre-fork,
-  // so the publications are trivially visible to every worker).
+  // Stage and publish initial values (coordinator-side, pre-fork, so
+  // the publications are trivially visible to every worker). The
+  // directory stores offset+1 so 0 keeps meaning "never written".
+  // initial_tag remembers each publication: records are never reused,
+  // so a slot still holding it after the run was never rewritten.
+  std::vector<uint64_t> initial_tag(static_cast<size_t>(num_data), 0);
   for (DataId d = 0; d < num_data; ++d) {
     const DataEntry& entry = graph.data(d);
     if (!entry.value.has_value()) continue;
-    TB_RETURN_IF_ERROR(PublishBlock(arena, directory, d, *entry.value));
+    TB_ASSIGN_OR_RETURN(const uint64_t offset,
+                        StageBlock(arena, *entry.value));
+    initial_tag[static_cast<size_t>(d)] = offset + 1;
+    directory[d].store(offset + 1, std::memory_order_release);
   }
 
   header->origin_ns = NowNs();
@@ -648,6 +653,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   std::fflush(stderr);
   std::vector<pid_t> pids(static_cast<size_t>(num_workers), -1);
   const bool pin = options_.pin_workers && topo.num_domains() > 1;
+  const pid_t coordinator = getpid();
   for (int w = 0; w < num_workers; ++w) {
     const pid_t pid = fork();
     if (pid == 0) {
@@ -655,8 +661,9 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
           pin ? topo.domains[static_cast<size_t>(
                                worker_domain[static_cast<size_t>(w)])].cpus
               : std::vector<int>{};
-      WorkerMain(w, graph, arena, header, &channels[w], directory, cpus,
-                 options_.check_invariants, cache_bytes, &cache_stats[w]);
+      WorkerMain(w, coordinator, graph, arena, header, &channels[w],
+                 directory, cpus, options_.check_invariants, cache_bytes,
+                 &cache_stats[w]);
     }
     if (pid < 0) {
       header->shutdown.store(1, std::memory_order_release);
@@ -767,6 +774,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     msg.attempt = attempt;
     msg.epoch = inval_epoch;
     if (!channels[best].inbox.Push(msg)) return false;
+    channels[best].inbox_bell.Ring();
     ++inflight[static_cast<size_t>(best)];
     inflight_tasks[static_cast<size_t>(best)].emplace_back(t, attempt);
     return true;
@@ -926,7 +934,16 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     }
   };
 
-  int liveness_tick = 0;
+  auto completions_pending = [&] {
+    for (int w = 0; w < num_workers; ++w) {
+      if (alive[static_cast<size_t>(w)] && channels[w].outbox.size() != 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  int progress_passes = 0;
   while (!failed && num_completed < total) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
       fail_run(Status::Cancelled("run cancelled"));
@@ -962,16 +979,33 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       }
     }
     if (failed) break;
-    if (!progress || ++liveness_tick % 64 == 0) check_liveness();
-    if (!progress) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    if (progress) {
+      if (++progress_passes % 64 == 0) check_liveness();
+      continue;
+    }
+    // Idle: park on the completion bell for one slice, or until the
+    // earliest retry backoff falls due. Only a slice that times out
+    // unrung runs liveness — a dead worker never rings.
+    std::chrono::nanoseconds slice = kCoordinatorWaitSlice;
+    if (!delayed.empty()) {
+      double due = delayed.front().when;
+      for (const Delayed& d : delayed) due = std::min(due, d.when);
+      const std::chrono::duration<double> until_due(due -
+                                                    SecondsSince(origin_ns));
+      if (until_due < slice) {
+        slice = std::chrono::duration_cast<std::chrono::nanoseconds>(until_due);
+      }
+    }
+    if (!header->completions.Wait(completions_pending, slice)) {
+      check_liveness();
     }
   }
 
   // Shut the plane down: workers exit once their inbox drains and the
-  // flag is up; SIGKILL is the backstop for workers stuck in a kernel
-  // after a failed run.
+  // flag is up (the ring wakes parked ones); SIGKILL is the backstop
+  // for workers stuck in a kernel after a failed run.
   header->shutdown.store(1, std::memory_order_release);
+  for (int w = 0; w < num_workers; ++w) channels[w].inbox_bell.Ring();
   const int64_t reap_deadline_ns = NowNs() + 5'000'000'000LL;
   for (int w = 0; w < num_workers; ++w) {
     if (!alive[static_cast<size_t>(w)]) continue;
@@ -991,12 +1025,14 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
 
   if (failed) return failure;
 
-  // Persist final values onto the graph entries (the arena unmaps
-  // when this function returns).
+  // Persist the values the run wrote onto the graph entries (the
+  // arena unmaps when this function returns). A slot still holding its
+  // initial tag was never rewritten, and the graph already holds those
+  // exact bytes.
   for (DataId d = 0; d < num_data; ++d) {
-    if (directory[d].load(std::memory_order_acquire) == 0) continue;
-    TB_ASSIGN_OR_RETURN(data::Matrix value, ReadBlock(arena, directory, d));
-    graph.mutable_data(d).value = std::move(value);
+    const uint64_t tag = directory[d].load(std::memory_order_acquire);
+    if (tag == initial_tag[static_cast<size_t>(d)]) continue;
+    TB_ASSIGN_OR_RETURN(graph.mutable_data(d).value, ReadBlockAt(arena, tag));
   }
 
   double makespan = 0;

@@ -25,7 +25,8 @@ namespace taskbench::runtime {
 ///    unserializable) ride into the workers via copy-on-write for
 ///    free — no code shipping, no kernel registry.
 ///  - Dispatch is per-worker lock-free SPSC rings in the control
-///    segment: a task ring in, a completion ring out. The coordinator
+///    segment: a task ring in, a completion ring out, with futex
+///    doorbells so an idle side sleeps until it is rung. The coordinator
 ///    never touches block bytes; workers serialize results straight
 ///    into the arena (`Serializer` wire format, same as the storage
 ///    path) and *stage* them — the coordinator performs the shared-
@@ -66,7 +67,7 @@ class MultiProcExecutor final : public Executor {
   static bool Supported();
 
   /// Runs the graph across worker processes. Initial data values are
-  /// taken from the graph; on success every datum's final value is
+  /// taken from the graph; on success every datum the run wrote is
   /// written back onto the graph entries (read them with FetchData).
   /// Cancellation (RunContext::cancel) is polled on every coordinator
   /// scheduling pass; RunContext::scope is ignored (each Execute maps

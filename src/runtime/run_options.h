@@ -179,8 +179,8 @@ struct RunOptions {
   /// InvalidArgument naming the first bad field and its value:
   /// num_threads or num_procs < 1, max_retries < 0, a negative or
   /// non-finite retry_backoff_s, or an invalid `sched`. MakeExecutor
-  /// calls it, so no executor is built from a knob it would clamp or
-  /// abort on.
+  /// and every executor's Execute call it, so no run starts from a
+  /// knob it would clamp or abort on.
   Status Validate() const;
 };
 

@@ -1366,6 +1366,7 @@ SimulatedExecutor::SimulatedExecutor(hw::ClusterSpec cluster,
 
 Result<RunReport> SimulatedExecutor::Execute(const TaskGraph& graph,
                                              const RunContext& ctx) const {
+  TB_RETURN_IF_ERROR(options_.Validate());
   SimState state(cluster_, options_, graph, ctx);
   return state.Run();
 }

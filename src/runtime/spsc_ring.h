@@ -2,8 +2,21 @@
 #define TASKBENCH_RUNTIME_SPSC_RING_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <type_traits>
+
+#if defined(__linux__)
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <ctime>
+#else
+#include <algorithm>
+#include <thread>
+#endif
 
 namespace taskbench::runtime {
 
@@ -69,6 +82,91 @@ class SpscRing {
   alignas(64) std::atomic<uint64_t> head_{0};  ///< consumer cursor
   alignas(64) std::atomic<uint64_t> tail_{0};  ///< producer cursor
   T slots_[kCapacity];
+};
+
+/// Wake-on-push for rings in a MAP_SHARED segment: the consumer of an
+/// empty ring blocks in the kernel until a producer rings, rather than
+/// waking on a timer to poll.
+///
+/// Handshake. The waiter snapshots seq_, announces itself in
+/// sleepers_, re-checks its ring(s) and exit flag, then FUTEX_WAITs on
+/// the snapshot. The ringer pushes, bumps seq_ and calls FUTEX_WAKE
+/// only when a waiter announced, so ringing a busy peer costs one
+/// atomic RMW and no syscall. Announce-then-read-seq against
+/// bump-then-read-sleepers, all seq_cst, is a Dekker pair: either the
+/// ringer sees the announcement and wakes, or the kernel's compare in
+/// FUTEX_WAIT sees the new sequence and returns at once. A push is
+/// never slept through.
+///
+/// The futex ops are shared, not FUTEX_PRIVATE_FLAG: waiter and ringer
+/// are different processes (std::atomic::wait uses private futexes and
+/// never wakes another process). The words hold no lock, so a process
+/// killed mid-handshake wedges nobody; its peer's next wait times out.
+///
+/// Other POSIX hosts have no futex: Wait sleeps a 100 µs poll interval
+/// (capped at the timeout) and reports a timeout, so callers run their
+/// timeout checks on every poll.
+class alignas(64) Doorbell {
+ public:
+  Doorbell() = default;
+  Doorbell(const Doorbell&) = delete;
+  Doorbell& operator=(const Doorbell&) = delete;
+
+  /// Producer side, after the push.
+  void Ring() {
+    seq_.fetch_add(1, std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_seq_cst) > 0) Wake();
+  }
+
+  /// Consumer side: blocks until a Ring, the timeout or a signal,
+  /// unless `ready()` (re-checked after announcing) already holds.
+  /// False only when the whole timeout passed unrung; a true return
+  /// may be spurious, so the caller re-checks its rings.
+  template <typename Ready>
+  bool Wait(Ready&& ready, std::chrono::nanoseconds timeout) {
+    const uint32_t seq = seq_.load(std::memory_order_seq_cst);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    const bool rung = ready() || Sleep(seq, timeout);
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    return rung;
+  }
+
+ private:
+#if defined(__linux__)
+  static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+                    std::atomic<uint32_t>::is_always_lock_free,
+                "the futex word is the atomic's own storage");
+
+  uint32_t* word() { return reinterpret_cast<uint32_t*>(&seq_); }
+
+  bool Sleep(uint32_t seq, std::chrono::nanoseconds timeout) {
+    const int64_t ns = timeout.count() > 0 ? timeout.count() : 0;
+    timespec relative{};
+    relative.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+    relative.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    if (::syscall(SYS_futex, word(), FUTEX_WAIT, seq, &relative, nullptr,
+                  0) == 0) {
+      return true;
+    }
+    return errno != ETIMEDOUT;  // EAGAIN: rung before we slept; EINTR
+  }
+
+  void Wake() {
+    ::syscall(SYS_futex, word(), FUTEX_WAKE, INT32_MAX, nullptr, nullptr, 0);
+  }
+#else
+  bool Sleep(uint32_t, std::chrono::nanoseconds timeout) {
+    std::this_thread::sleep_for(
+        std::min<std::chrono::nanoseconds>(timeout,
+                                           std::chrono::microseconds(100)));
+    return false;
+  }
+
+  void Wake() {}
+#endif
+
+  std::atomic<uint32_t> seq_{0};      ///< bumped by every Ring
+  std::atomic<int32_t> sleepers_{0};  ///< waiters between announce and wake
 };
 
 }  // namespace taskbench::runtime

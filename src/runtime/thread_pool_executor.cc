@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "hw/topology.h"
 #include "obs/metrics.h"
@@ -90,7 +89,6 @@ StageHists ResolveStageHists(obs::MetricsRegistry* registry,
 ThreadPoolExecutor::ThreadPoolExecutor(
     RunOptions options, std::shared_ptr<storage::BlockStorage> store)
     : options_(std::move(options)), store_(std::move(store)) {
-  TB_CHECK(options_.num_threads > 0);
   if (options_.use_storage && store_ == nullptr) {
     store_ = std::make_shared<storage::InMemoryStorage>(
         static_cast<size_t>(std::max(0, options_.storage_shards)));
@@ -105,6 +103,7 @@ ThreadPoolExecutor::ThreadPoolExecutor(
 
 Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
                                               const RunContext& ctx) {
+  TB_RETURN_IF_ERROR(options_.Validate());
   TB_RETURN_IF_ERROR(graph.Validate());
 
   // Any run may rewrite scope-0 keys the post-run Fetch cache was

@@ -13,12 +13,18 @@
 
 #if !defined(_WIN32)
 #include <sys/mman.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <fstream>
 #include <new>
 #include <thread>
+
+#include "runtime/cancellation.h"
 #endif
 
 namespace taskbench::runtime {
@@ -142,6 +148,78 @@ TEST(MultiProcExecutorTest, ValuesBitExactAcrossProcessCounts) {
       }
     }
   }
+}
+
+// Writeback after the run copies only what the run rewrote: an input
+// no task wrote keeps its buffer, while an OUT datum and an INOUT
+// rewrite of an initial value come back with the new values.
+TEST(MultiProcExecutorTest, WritebackLeavesUntouchedInputsInPlace) {
+  auto build = [](TaskGraph* graph, DataId* in, DataId* acc, DataId* out) {
+    *in = graph->AddData(data::Matrix(4, 4, 2.0));
+    *acc = graph->AddData(data::Matrix(4, 4, 1.0));
+    *out = graph->AddData(static_cast<uint64_t>(128));
+    TaskSpec accumulate;
+    accumulate.type = "accumulate";
+    accumulate.params = {{*in, Dir::kIn}, {*acc, Dir::kInOut}};
+    accumulate.kernel = [](const std::vector<const data::Matrix*>& inputs,
+                           const std::vector<data::Matrix*>& outputs)
+        -> Status {
+      data::Matrix& m = *outputs[0];  // aliases the INOUT input value
+      for (int64_t j = 0; j < m.size(); ++j) {
+        m.data()[j] += inputs[0]->data()[j];
+      }
+      return Status::OK();
+    };
+    ASSERT_TRUE(graph->Submit(std::move(accumulate)).ok());
+    ASSERT_TRUE(graph->Submit(SimpleTask(*acc, *out, AddOneKernel())).ok());
+  };
+
+  TaskGraph graph;
+  DataId in = -1, acc = -1, out = -1;
+  build(&graph, &in, &acc, &out);
+  const double* input_buffer = graph.data(in).value->data();
+  MultiProcExecutor executor(ProcOptions(2));
+  ASSERT_TRUE(executor.Execute(graph).ok());
+  EXPECT_EQ(graph.data(in).value->data(), input_buffer)
+      << "an input no task wrote was copied back from the arena";
+
+  TaskGraph baseline_graph;
+  DataId b_in = -1, b_acc = -1, b_out = -1;
+  build(&baseline_graph, &b_in, &b_acc, &b_out);
+  RunOptions thread_options;
+  thread_options.num_threads = 2;
+  ThreadPoolExecutor baseline(thread_options);
+  ASSERT_TRUE(baseline.Execute(baseline_graph).ok());
+  for (const auto& [d, b] : {std::pair{in, b_in}, std::pair{acc, b_acc},
+                             std::pair{out, b_out}}) {
+    auto got = executor.FetchData(graph, d);
+    auto want = baseline.FetchData(baseline_graph, b);
+    ASSERT_TRUE(got.ok() && want.ok()) << "datum " << d;
+    EXPECT_TRUE(*got == *want) << "datum " << d;
+  }
+  EXPECT_TRUE(*executor.FetchData(graph, acc) == data::Matrix(4, 4, 3.0));
+  EXPECT_TRUE(*executor.FetchData(graph, out) == data::Matrix(4, 4, 4.0));
+}
+
+// A run cancelled before it starts still forks its workers; it must
+// come back Cancelled with every one of them reaped.
+TEST(MultiProcExecutorTest, PreCancelledRunIsCancelledAndReapsWorkers) {
+  TaskGraph graph;
+  const DataId d0 = graph.AddData(data::Matrix(2, 2, 0.0));
+  const DataId d1 = graph.AddData(static_cast<uint64_t>(32));
+  ASSERT_TRUE(graph.Submit(SimpleTask(d0, d1, AddOneKernel())).ok());
+
+  CancellationToken token;
+  token.Cancel();
+  RunContext ctx;
+  ctx.cancel = &token;
+  MultiProcExecutor executor(ProcOptions(2));
+  auto report = executor.Execute(graph, ctx);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD) << "a worker outlived the cancelled run";
 }
 
 TEST(MultiProcExecutorTest, TooSmallArenaFailsWithArenaMessage) {
@@ -448,6 +526,86 @@ TEST(MultiProcExecutorTest, JustJoinedThreadIsNotCountedAsLive) {
         << "iteration " << i << ": " << report.status().ToString();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
   }
+}
+// True once `pid` has exited: no such process, or a zombie its new
+// parent has not reaped yet.
+bool Exited(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return true;
+  const size_t paren = line.rfind(')');  // "pid (comm) state ..."
+  return paren == std::string::npos || paren + 2 >= line.size() ||
+         line[paren + 2] == 'Z';
+}
+
+// A coordinator killed outright (SIGKILL, as the OOM killer sends)
+// never raises the shutdown flag. Its workers must notice they were
+// re-parented and exit instead of keeping the arena mapped forever.
+TEST(MultiProcExecutorTest, OrphanedWorkersExitWhenTheCoordinatorDies) {
+  constexpr int kWorkers = 2;
+  struct Shared {
+    std::atomic<int> recorded{0};
+    std::atomic<pid_t> pids[kWorkers] = {};
+  };
+  void* page = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* shared = new (page) Shared();
+
+  const pid_t coordinator = fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) {
+    // One independent task per worker; each records the pid of the
+    // worker running it, then sleeps past the coordinator's death.
+    TaskGraph graph;
+    for (int i = 0; i < kWorkers; ++i) {
+      const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+      const DataId out = graph.AddData(static_cast<uint64_t>(32));
+      TaskSpec spec;
+      spec.type = "record_pid";
+      spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
+      spec.kernel = [shared](const std::vector<const data::Matrix*>& inputs,
+                             const std::vector<data::Matrix*>& outputs)
+          -> Status {
+        const int slot = shared->recorded.fetch_add(1);
+        if (slot < kWorkers) shared->pids[slot].store(getpid());
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        *outputs[0] = *inputs[0];
+        return Status::OK();
+      };
+      if (!graph.Submit(std::move(spec)).ok()) _exit(2);
+    }
+    MultiProcExecutor executor(ProcOptions(kWorkers));
+    _exit(executor.Execute(graph).ok() ? 0 : 1);
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (shared->recorded.load() < kWorkers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  kill(coordinator, SIGKILL);
+  ASSERT_EQ(waitpid(coordinator, nullptr, 0), coordinator);
+  ASSERT_EQ(shared->recorded.load(), kWorkers)
+      << "workers never started their tasks";
+
+  std::vector<pid_t> survivors;
+  for (const std::atomic<pid_t>& pid : shared->pids) {
+    survivors.push_back(pid.load());
+  }
+  const auto exit_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!survivors.empty() &&
+         std::chrono::steady_clock::now() < exit_deadline) {
+    std::erase_if(survivors, Exited);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (const pid_t pid : survivors) kill(pid, SIGKILL);  // leak nothing
+  EXPECT_TRUE(survivors.empty())
+      << survivors.size() << " orphaned worker(s) still running 2 s after "
+      << "their coordinator was killed";
+  munmap(page, 4096);
 }
 #endif  // __linux__
 

@@ -1,6 +1,7 @@
 // Boundary validation of RunOptions and SchedulerConfig: every knob an
 // executor would abort on, clamp or silently mis-handle is rejected by
-// MakeExecutor with an InvalidArgument naming the field and its value.
+// MakeExecutor and by every executor's Execute with an InvalidArgument
+// naming the field and its value.
 
 #include "runtime/run_options.h"
 
@@ -10,8 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/experiment.h"
+#include "data/generators.h"
+#include "hw/cluster.h"
 #include "runtime/executor_factory.h"
+#include "runtime/multiproc_executor.h"
 #include "runtime/scheduler_config.h"
+#include "runtime/simulated_executor.h"
+#include "runtime/thread_pool_executor.h"
 
 namespace taskbench::runtime {
 namespace {
@@ -113,6 +120,48 @@ TEST(RunOptionsTest, MakeExecutorRejectsInvalidOptionsForEveryKind) {
     EXPECT_NE(executor.status().message().find("num_threads"),
               std::string::npos);
   }
+}
+
+// Callers that build an executor directly (analysis::RunExperiment,
+// the CLI, report_digest) skip MakeExecutor; Execute itself must
+// refuse the bad knob instead of aborting or running with it.
+TEST(RunOptionsTest, DirectlyConstructedExecutorsRejectInvalidOptions) {
+  const Case cases[] = {
+      {"RunOptions.num_threads = 0", [](RunOptions* o) { o->num_threads = 0; }},
+      {"RunOptions.max_retries = -1",
+       [](RunOptions* o) { o->max_retries = -1; }},
+      {"SchedulerConfig.hedge_threshold = 0.5",
+       [](RunOptions* o) { o->sched.hedge_threshold = 0.5; }},
+  };
+  for (const Case& c : cases) {
+    RunOptions options;
+    c.mutate(&options);
+    ThreadPoolExecutor threads(options);
+    SimulatedExecutor sim(hw::MinotauroCluster(), options);
+    MultiProcExecutor procs(options);
+    for (Executor* executor :
+         std::initializer_list<Executor*>{&threads, &sim, &procs}) {
+      TaskGraph graph;
+      auto report = executor->Run(graph);
+      ASSERT_FALSE(report.ok()) << executor->name() << ": " << c.field;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(report.status().message().find(c.field), std::string::npos)
+          << executor->name() << ": " << report.status().message();
+    }
+  }
+}
+
+TEST(RunOptionsTest, ExperimentRejectsInvalidRunOptions) {
+  analysis::ExperimentConfig config;
+  config.dataset = data::PaperDatasets::Matmul8GB();
+  config.grid_rows = 2;
+  config.grid_cols = 2;
+  config.run.retry_backoff_s = -1;
+  auto result = analysis::RunExperiment(config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("retry_backoff_s"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,10 +1,21 @@
 #include "runtime/spsc_ring.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
+#include <new>
+#endif
 
 namespace taskbench::runtime {
 namespace {
@@ -89,6 +100,109 @@ TEST(SpscRingTest, ConcurrentProducerConsumerDeliversEverythingInOrder) {
   EXPECT_EQ(sum, kMessages * (kMessages - 1) / 2);
   EXPECT_EQ(ring.size(), 0u);
 }
+
+#if defined(__linux__)
+// One direction of a ring pair, laid out as the multi-process control
+// plane lays out a worker channel: the ring plus the bell its producer
+// rings after each push.
+struct BelledRing {
+  SpscRing<uint64_t, 8> ring;
+  Doorbell bell;
+};
+
+constexpr uint64_t kRounds = 100000;
+
+// Spins for a varying 0-4096 relaxed increments (up to a few µs).
+void Jitter(uint32_t* state) {
+  *state ^= *state << 13;
+  *state ^= *state >> 17;
+  *state ^= *state << 5;
+  std::atomic<uint32_t> sink{0};
+  for (uint32_t i = *state % 4096; i > 0; --i) {
+    sink.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+// Pops the next message, parking on the bell while the ring is empty.
+// Every message is answered, so the peer never goes quiet for long: a
+// wait that sits out its whole 10 s slice slept through a push and its
+// ring, which is a lost wakeup. The re-check takes a varying time, as
+// the coordinator's scan over every outbox does, so the peer's push
+// and ring land on every side of it.
+bool Receive(BelledRing& in, uint64_t* out) {
+  uint32_t jitter = 0x9e3779b9u;
+  while (!in.ring.Pop(out)) {
+    const auto ready = [&] {
+      const bool pending = in.ring.size() != 0;
+      Jitter(&jitter);
+      return pending;
+    };
+    if (!in.bell.Wait(ready, std::chrono::seconds(10))) return false;
+  }
+  return true;
+}
+
+void Send(BelledRing& out, uint64_t value) {
+  // One message in flight per direction, so the ring is never full.
+  while (!out.ring.Push(value)) {
+  }
+  out.bell.Ring();
+}
+
+// The initiator sends 0..kRounds-1 on `ping` and expects each back on
+// `pong`; the echoer answers every ping. Either returns false on a
+// lost wakeup or a wrong message.
+bool Initiate(BelledRing& ping, BelledRing& pong) {
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    Send(ping, i);
+    uint64_t echo = 0;
+    if (!Receive(pong, &echo) || echo != i) return false;
+  }
+  return true;
+}
+
+bool Echo(BelledRing& ping, BelledRing& pong) {
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    uint64_t value = 0;
+    if (!Receive(ping, &value) || value != i) return false;
+    Send(pong, value);
+  }
+  return true;
+}
+
+TEST(DoorbellTest, PingPongAcrossThreadsLosesNoWakeup) {
+  BelledRing ping;
+  BelledRing pong;
+  bool echoed = false;
+  std::thread echo([&] { echoed = Echo(ping, pong); });
+  const bool initiated = Initiate(ping, pong);
+  echo.join();
+  EXPECT_TRUE(initiated);
+  EXPECT_TRUE(echoed);
+}
+
+// The same handshake between two processes over a MAP_SHARED page,
+// which is what the shared (not private) futex ops are for.
+TEST(DoorbellTest, PingPongAcrossForkLosesNoWakeup) {
+  constexpr size_t kBytes = 2 * sizeof(BelledRing);
+  void* page = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* ping = new (page) BelledRing();
+  auto* pong = new (ping + 1) BelledRing();
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) _exit(Echo(*ping, *pong) ? 0 : 1);
+  const bool initiated = Initiate(*ping, *pong);
+  if (!initiated) kill(child, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  EXPECT_TRUE(initiated);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "echo process status " << status;
+  munmap(page, kBytes);
+}
+#endif  // __linux__
 
 }  // namespace
 }  // namespace taskbench::runtime
