@@ -31,11 +31,11 @@
 #include <vector>
 
 #include "common/args.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "data/matrix.h"
 #include "hw/topology.h"
-#include "obs/json.h"
 #include "runtime/executor_factory.h"
 #include "runtime/thread_pool_executor.h"
 #include "service/load.h"
@@ -232,7 +232,7 @@ int Main(int argc, char** argv) {
   json += StrFormat("  \"cancellation_frees_slots\": %s,\n",
                     cancel_frees_slots ? "true" : "false");
   json += "  \"tenants\": [\n" + tenants_json + "  ]\n}\n";
-  TB_CHECK_OK(obs::ValidateJson(json));
+  TB_CHECK_OK(ValidateJson(json));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   TB_CHECK(f != nullptr) << "cannot open " << out_path;

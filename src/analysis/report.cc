@@ -47,27 +47,6 @@ std::string TextTable::ToString() const {
   return out.str();
 }
 
-std::string AsciiBarChart(
-    const std::vector<std::pair<std::string, double>>& bars, int width) {
-  double max_value = 0;
-  size_t label_width = 0;
-  for (const auto& [label, value] : bars) {
-    max_value = std::max(max_value, value);
-    label_width = std::max(label_width, label.size());
-  }
-  std::ostringstream out;
-  for (const auto& [label, value] : bars) {
-    const int filled =
-        max_value > 0
-            ? static_cast<int>(value / max_value * width + 0.5)
-            : 0;
-    out << PadRight(label, label_width) << " |"
-        << std::string(static_cast<size_t>(filled), '#') << " "
-        << StrFormat("%.4g", value) << "\n";
-  }
-  return out.str();
-}
-
 std::string FormatSpeedup(double signed_speedup) {
   return StrFormat("%.2fx", signed_speedup);
 }

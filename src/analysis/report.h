@@ -2,7 +2,6 @@
 #define TASKBENCH_ANALYSIS_REPORT_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -27,11 +26,6 @@ class TextTable {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Horizontal ASCII bar chart: one labeled bar per entry, scaled to
-/// `width` characters at the maximum value.
-std::string AsciiBarChart(
-    const std::vector<std::pair<std::string, double>>& bars, int width = 48);
 
 /// Formats a signed speedup the way the paper annotates its charts,
 /// e.g. "5.69x" or "-1.20x".

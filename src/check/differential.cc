@@ -8,6 +8,7 @@
 
 #include "check/digest.h"
 #include "check/invariants.h"
+#include "common/json.h"
 #include "common/strings.h"
 #include "data/kernels.h"
 #include "hw/cluster.h"
@@ -17,7 +18,6 @@
 #include "runtime/multiproc_executor.h"
 #include "runtime/run_options.h"
 #include "runtime/trace.h"
-#include "obs/json.h"
 #include "storage/block_storage.h"
 #include "storage/faulty_storage.h"
 
@@ -209,11 +209,11 @@ Status ValidateExports(const RunReport& report) {
   std::ostringstream trace;
   runtime::StreamChromeTrace(report, trace);
   TB_RETURN_IF_ERROR(
-      obs::ValidateJson(trace.str()).WithContext("chrome trace"));
+      ValidateJson(trace.str()).WithContext("chrome trace"));
   std::ostringstream metrics;
   runtime::StreamMetricsJson(report, nullptr, metrics);
   TB_RETURN_IF_ERROR(
-      obs::ValidateJson(metrics.str()).WithContext("metrics json"));
+      ValidateJson(metrics.str()).WithContext("metrics json"));
   return Status::OK();
 }
 

@@ -1,4 +1,4 @@
-#include "wf/json.h"
+#include "common/json.h"
 
 #include <cmath>
 #include <cstdlib>
@@ -6,11 +6,13 @@
 
 #include "common/strings.h"
 
-namespace taskbench::wf {
+namespace taskbench {
 
 namespace {
 
-constexpr int kMaxDepth = 96;
+/// Most arrays and objects open at once; a deeper document is
+/// rejected before the recursion can exhaust the stack.
+constexpr int kMaxDepth = 256;
 
 /// Recursive-descent parser over a string_view with a cursor. Every
 /// error carries the byte offset it was detected at.
@@ -32,7 +34,7 @@ class Parser {
  private:
   Status Error(const std::string& what) const {
     return Status::InvalidArgument(
-        StrFormat("%s at offset %zu", what.c_str(), pos_));
+        StrFormat("%s at byte %zu", what.c_str(), pos_));
   }
 
   void SkipWhitespace() {
@@ -46,12 +48,12 @@ class Parser {
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return text_[pos_]; }
 
+  /// `depth` counts the arrays and objects enclosing the value.
   Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
     if (AtEnd()) return Error("unexpected end of input");
     switch (Peek()) {
-      case '{': return ParseObject(out, depth);
-      case '[': return ParseArray(out, depth);
+      case '{': return ParseObject(out, depth + 1);
+      case '[': return ParseArray(out, depth + 1);
       case '"': {
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->string_value);
@@ -211,6 +213,7 @@ class Parser {
   }
 
   Status ParseArray(JsonValue* out, int depth) {
+    if (depth > kMaxDepth) return Error("nesting too deep");
     ++pos_;  // '['
     out->kind = JsonValue::Kind::kArray;
     SkipWhitespace();
@@ -221,7 +224,7 @@ class Parser {
     while (true) {
       JsonValue item;
       SkipWhitespace();
-      TB_RETURN_IF_ERROR(ParseValue(&item, depth + 1));
+      TB_RETURN_IF_ERROR(ParseValue(&item, depth));
       out->items.push_back(std::move(item));
       SkipWhitespace();
       if (AtEnd()) return Error("unexpected end of input in array");
@@ -238,6 +241,7 @@ class Parser {
   }
 
   Status ParseObject(JsonValue* out, int depth) {
+    if (depth > kMaxDepth) return Error("nesting too deep");
     ++pos_;  // '{'
     out->kind = JsonValue::Kind::kObject;
     SkipWhitespace();
@@ -254,7 +258,7 @@ class Parser {
       ++pos_;
       SkipWhitespace();
       JsonValue value;
-      TB_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
+      TB_RETURN_IF_ERROR(ParseValue(&value, depth));
       out->members.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
       if (AtEnd()) return Error("unexpected end of input in object");
@@ -287,4 +291,6 @@ Result<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
-}  // namespace taskbench::wf
+Status ValidateJson(std::string_view text) { return ParseJson(text).status(); }
+
+}  // namespace taskbench

@@ -1,20 +1,8 @@
 #include "data/generators.h"
 
-#include <cmath>
+#include <vector>
 
 namespace taskbench::data {
-
-namespace {
-
-/// Derives a block-local RNG from the dataset seed and block index so
-/// the generated values are independent of generation order.
-Rng BlockRng(uint64_t seed, const BlockExtent& extent) {
-  const uint64_t mix = seed ^ (static_cast<uint64_t>(extent.row0) << 20) ^
-                       (static_cast<uint64_t>(extent.col0) + 0x9e3779b9ULL);
-  return Rng(mix);
-}
-
-}  // namespace
 
 void FillUniform(Matrix* m, Rng* rng) {
   double* p = m->data();
@@ -56,31 +44,6 @@ void FillGaussianBlobs(Matrix* m, Rng* rng, int num_centers) {
                     rng->NextGaussian();
     }
   }
-}
-
-Result<DsArray> UniformArray(const GridSpec& spec, uint64_t seed) {
-  return DsArray::Generate(spec, [seed](const BlockExtent& e, Matrix* block) {
-    Rng rng = BlockRng(seed, e);
-    FillUniform(block, &rng);
-  });
-}
-
-Result<DsArray> SkewedArray(const GridSpec& spec, uint64_t seed,
-                            double skew_fraction) {
-  return DsArray::Generate(
-      spec, [seed, skew_fraction](const BlockExtent& e, Matrix* block) {
-        Rng rng = BlockRng(seed, e);
-        FillSkewed(block, &rng, skew_fraction);
-      });
-}
-
-Result<DsArray> BlobsArray(const GridSpec& spec, uint64_t seed,
-                           int num_centers) {
-  return DsArray::Generate(
-      spec, [seed, num_centers](const BlockExtent& e, Matrix* block) {
-        Rng rng = BlockRng(seed, e);
-        FillGaussianBlobs(block, &rng, num_centers);
-      });
 }
 
 DatasetSpec PaperDatasets::Matmul8GB() {

@@ -1,12 +1,7 @@
 #ifndef TASKBENCH_DATA_GENERATORS_H_
 #define TASKBENCH_DATA_GENERATORS_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "common/random.h"
-#include "common/result.h"
-#include "data/ds_array.h"
 #include "data/grid.h"
 #include "data/matrix.h"
 
@@ -14,9 +9,10 @@ namespace taskbench::data {
 
 /// Synthetic dataset generators mirroring Section 4.4.5 (random
 /// float64 NumPy arrays with a fixed random state) and Section 5.2.3
-/// (skewed datasets). All generators are deterministic per seed; per
-/// block the stream is derived from (seed, block index) so generation
-/// order does not change the values.
+/// (skewed datasets). Each filler draws only from the caller's Rng,
+/// so a fixed seed gives fixed values. The algos seed one Rng per
+/// block from (seed, block index), so generation order does not
+/// change the values.
 
 /// Fills `m` with uniform values in [0, 1).
 void FillUniform(Matrix* m, Rng* rng);
@@ -31,17 +27,6 @@ void FillSkewed(Matrix* m, Rng* rng, double skew_fraction);
 /// a realistic K-means input where each dataset row is one sample.
 /// Center coordinates are drawn in [-10, 10] with unit-variance noise.
 void FillGaussianBlobs(Matrix* m, Rng* rng, int num_centers);
-
-/// Creates a blocked array of uniform random values.
-Result<DsArray> UniformArray(const GridSpec& spec, uint64_t seed);
-
-/// Creates a blocked array with the skewed distribution.
-Result<DsArray> SkewedArray(const GridSpec& spec, uint64_t seed,
-                            double skew_fraction);
-
-/// Creates a blocked array of Gaussian-blob samples (K-means input).
-Result<DsArray> BlobsArray(const GridSpec& spec, uint64_t seed,
-                           int num_centers);
 
 /// Catalog of the paper's dataset configurations (Sections 4.4.5 and
 /// 5.4): exact dimensions for every Matmul and K-means input used in

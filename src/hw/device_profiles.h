@@ -95,6 +95,16 @@ DiskProfile LocalNodeDisk();
 /// latency per operation.
 DiskProfile GpfsSharedDisk();
 
+/// Minotauro's InfiniBand-class inter-node fabric, which carries the
+/// remote block reads of local-disk storage (a node pulling a block
+/// that lives on another node). Remote reads stream the disk and the
+/// network in parallel, so a fast fabric makes them nearly as cheap
+/// as local ones, which is why scheduling policy barely matters on
+/// local disks (observation O5).
+inline constexpr double kMinotauroNetworkAggregateBps = 40e9;
+inline constexpr double kMinotauroNetworkPerStreamBps = 3e9;
+inline constexpr double kMinotauroNetworkLatencyS = 0.1e-3;
+
 }  // namespace taskbench::hw
 
 #endif  // TASKBENCH_HW_DEVICE_PROFILES_H_

@@ -1,23 +1,12 @@
 #ifndef TASKBENCH_OBS_JSON_H_
 #define TASKBENCH_OBS_JSON_H_
 
-#include <string_view>
-
-#include "common/status.h"
+// The JSON grammar lives in common/json.h; this name stays for the
+// end-to-end benchmark, which still includes it.
+#include "common/json.h"
 
 namespace taskbench::obs {
-
-/// Minimal JSON well-formedness checker (RFC 8259 syntax; no value
-/// materialization, so it scans arbitrarily large documents in O(n)
-/// with O(depth) memory). Used by the trace/metrics tests and the
-/// `json_lint` CI tool to prove every document the exporters emit
-/// parses cleanly — including names carrying quotes, backslashes and
-/// control characters.
-///
-/// Returns OK for a single valid JSON value surrounded only by
-/// whitespace; InvalidArgument with a byte offset otherwise.
-Status ValidateJson(std::string_view text);
-
+using ::taskbench::ValidateJson;
 }  // namespace taskbench::obs
 
 #endif  // TASKBENCH_OBS_JSON_H_

@@ -12,4 +12,22 @@ Result<data::Matrix> Executor::Fetch(const TaskGraph& graph,
       name().c_str(), static_cast<long long>(id)));
 }
 
+Status CheckDataId(const TaskGraph& graph, DataId id) {
+  if (id < 0 || id >= graph.num_data()) {
+    return Status::InvalidArgument(
+        StrFormat("unknown data id %lld", static_cast<long long>(id)));
+  }
+  return Status::OK();
+}
+
+Result<data::Matrix> FetchGraphValue(const TaskGraph& graph, DataId id) {
+  TB_RETURN_IF_ERROR(CheckDataId(graph, id));
+  const DataEntry& entry = graph.data(id);
+  if (!entry.value.has_value()) {
+    return Status::NotFound(
+        StrFormat("datum %lld has no value", static_cast<long long>(id)));
+  }
+  return *entry.value;
+}
+
 }  // namespace taskbench::runtime

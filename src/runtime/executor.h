@@ -90,6 +90,15 @@ class Executor {
                                      DataId id) const;
 };
 
+/// InvalidArgument unless `id` names one of the graph's data.
+Status CheckDataId(const TaskGraph& graph, DataId id);
+
+/// The value held on datum `id`'s graph entry, where the executors
+/// that write results back onto the graph (the memory-mode thread
+/// pool, the multi-process plane) leave it. CheckDataId's error for
+/// an unknown id, NotFound for a datum that has no value.
+Result<data::Matrix> FetchGraphValue(const TaskGraph& graph, DataId id);
+
 }  // namespace taskbench::runtime
 
 #endif  // TASKBENCH_RUNTIME_EXECUTOR_H_

@@ -1,5 +1,9 @@
 #include "runtime/invariant_check.h"
 
+#include <algorithm>
+
+#include "common/strings.h"
+
 namespace taskbench::runtime {
 
 VersionOracle VersionOracle::Build(const TaskGraph& graph) {
@@ -18,6 +22,24 @@ VersionOracle VersionOracle::Build(const TaskGraph& graph) {
     }
   }
   return oracle;
+}
+
+Status CheckBusyTimeBound(const std::vector<TaskRecord>& records,
+                          int workers) {
+  double busy = 0;
+  double makespan = 0;
+  for (const TaskRecord& rec : records) {
+    busy += rec.duration();
+    makespan = std::max(makespan, rec.end);
+  }
+  const double cap = makespan * workers;
+  if (busy > cap + 1e-9 * cap + 1e-12) {
+    return Status::FailedPrecondition(StrFormat(
+        "invariant violation: total busy time %.17g exceeds %d "
+        "workers x makespan %.17g",
+        busy, workers, makespan));
+  }
+  return Status::OK();
 }
 
 }  // namespace taskbench::runtime

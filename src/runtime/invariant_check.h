@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/status.h"
+#include "runtime/metrics.h"
 #include "runtime/task_graph.h"
 
 namespace taskbench::runtime {
@@ -43,6 +45,14 @@ class VersionOracle {
   /// Start of each task's params in `ordinals_`.
   std::vector<size_t> offsets_;
 };
+
+/// Conservation check of the real executors: each of `workers` runs
+/// one task at a time and every record lies inside [0, makespan] on
+/// one clock, so the records' total busy time cannot exceed `workers`
+/// x makespan (the latest record end). FailedPrecondition starting
+/// with "invariant violation" otherwise.
+Status CheckBusyTimeBound(const std::vector<TaskRecord>& records,
+                          int workers);
 
 }  // namespace taskbench::runtime
 

@@ -13,6 +13,7 @@
 
 #include "common/strings.h"
 #include "obs/metrics.h"
+#include "runtime/invariant_check.h"
 #include "runtime/spsc_ring.h"
 #include "storage/block_cache.h"
 #include "storage/serializer.h"
@@ -40,16 +41,7 @@ MultiProcExecutor::MultiProcExecutor(RunOptions options)
 
 Result<data::Matrix> MultiProcExecutor::FetchData(const TaskGraph& graph,
                                                   DataId id) const {
-  if (id < 0 || id >= graph.num_data()) {
-    return Status::InvalidArgument(
-        StrFormat("unknown data id %lld", static_cast<long long>(id)));
-  }
-  const DataEntry& entry = graph.data(id);
-  if (!entry.value.has_value()) {
-    return Status::NotFound(
-        StrFormat("datum %lld has no value", static_cast<long long>(id)));
-  }
-  return *entry.value;
+  return FetchGraphValue(graph, id);
 }
 
 #if defined(_WIN32)
@@ -596,10 +588,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
 
   const bool use_cache = options_.block_cache;
   const uint64_t cache_bytes =
-      use_cache ? (options_.block_cache_bytes != 0
-                       ? options_.block_cache_bytes
-                       : storage::kDefaultBlockCacheBytes)
-                : 0;
+      use_cache ? storage::kDefaultBlockCacheBytes : 0;
 
   const uint64_t header_off = 0;
   const uint64_t channels_off = AlignUp64(header_off + sizeof(ControlHeader));
@@ -652,7 +641,8 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   std::fflush(stdout);
   std::fflush(stderr);
   std::vector<pid_t> pids(static_cast<size_t>(num_workers), -1);
-  const bool pin = options_.pin_workers && topo.num_domains() > 1;
+  // Workers pin to their NUMA domain's CPUs on multi-domain hosts.
+  const bool pin = topo.num_domains() > 1;
   const pid_t coordinator = getpid();
   for (int w = 0; w < num_workers; ++w) {
     const pid_t pid = fork();
@@ -875,10 +865,8 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                                      AttemptOutcome::kFailed});
     }
     delayed.push_back(Delayed{
-        SecondsSince(origin_ns) +
-            options_.retry_backoff_s *
-                static_cast<double>(1ull << std::min(msg.attempt - 1, 30)),
-        msg.task, msg.attempt + 1});
+        SecondsSince(origin_ns) + options_.RetryDelay(msg.attempt), msg.task,
+        msg.attempt + 1});
   };
 
   // A dead worker's queued/running tasks become kNodeLost attempts
@@ -921,10 +909,8 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
           return;
         }
         ++retries;
-        delayed.push_back(Delayed{
-            now + options_.retry_backoff_s *
-                      static_cast<double>(1ull << std::min(attempt - 1, 30)),
-            task, attempt + 1});
+        delayed.push_back(
+            Delayed{now + options_.RetryDelay(attempt), task, attempt + 1});
       }
     }
     if (!failed && num_completed < total &&
@@ -1040,19 +1026,10 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     makespan = std::max(makespan, rec.end);
   }
 
+  // Every timestamp shares the CLOCK_MONOTONIC origin written into the
+  // control header, so the busy-time bound applies.
   if (options_.check_invariants) {
-    // Conservation: workers run tasks one at a time, so total busy
-    // time cannot exceed workers x makespan (all timestamps share the
-    // CLOCK_MONOTONIC origin written into the control header).
-    double busy = 0;
-    for (const TaskRecord& rec : records) busy += rec.duration();
-    const double cap = makespan * num_workers;
-    if (busy > cap + 1e-9 * cap + 1e-12) {
-      return Status::FailedPrecondition(StrFormat(
-          "invariant violation: total busy time %.17g exceeds %d "
-          "workers x makespan %.17g",
-          busy, num_workers, makespan));
-    }
+    TB_RETURN_IF_ERROR(CheckBusyTimeBound(records, num_workers));
   }
 
   if (options_.metrics != nullptr) {

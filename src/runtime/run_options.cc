@@ -3,7 +3,6 @@
 #include "runtime/run_options.h"
 
 #include <cmath>
-#include <utility>
 
 #include "common/strings.h"
 #include "runtime/scheduler_config.h"
@@ -20,24 +19,9 @@ Status Invalid(const char* field, double value, const char* rule) {
 }  // namespace
 
 Status SchedulerConfig::Validate() const {
-  const std::pair<const char*, double> weights[] = {
-      {"SchedulerConfig.alpha", alpha},
-      {"SchedulerConfig.beta", beta},
-      {"SchedulerConfig.gamma", gamma}};
-  for (const auto& [field, value] : weights) {
-    if (!std::isfinite(value)) return Invalid(field, value, "finite");
-  }
-  if (!std::isfinite(hedge_threshold) || hedge_threshold < 1) {
-    return Invalid("SchedulerConfig.hedge_threshold", hedge_threshold,
-                   "finite and >= 1");
-  }
   if (!std::isfinite(hedge_min_s) || hedge_min_s < 0) {
     return Invalid("SchedulerConfig.hedge_min_s", hedge_min_s,
                    "finite and >= 0");
-  }
-  if (!std::isfinite(escalate_benefit) || escalate_benefit <= 0) {
-    return Invalid("SchedulerConfig.escalate_benefit", escalate_benefit,
-                   "finite and > 0");
   }
   return Status::OK();
 }
@@ -55,6 +39,10 @@ Status RunOptions::Validate() const {
   if (!std::isfinite(retry_backoff_s) || retry_backoff_s < 0) {
     return Invalid("RunOptions.retry_backoff_s", retry_backoff_s,
                    "finite and >= 0");
+  }
+  if (block_dim < 0) {
+    return Invalid("RunOptions.block_dim", static_cast<double>(block_dim),
+                   ">= 0 (0 picks one)");
   }
   return sched.Validate();
 }

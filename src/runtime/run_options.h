@@ -1,6 +1,7 @@
 #ifndef TASKBENCH_RUNTIME_RUN_OPTIONS_H_
 #define TASKBENCH_RUNTIME_RUN_OPTIONS_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/status.h"
@@ -69,18 +70,23 @@ struct RunOptions {
   /// the whole run fails. 0 = fail fast (the pre-fault-tolerance
   /// behaviour).
   int max_retries = 0;
-  /// Base of the exponential retry backoff: attempt k waits
-  /// retry_backoff_s * 2^(k-1) before re-entering the ready queue
-  /// (simulated seconds on the simulated path, wall-clock seconds on
-  /// the thread pool).
+  /// Base of the exponential retry backoff: after attempt k fails,
+  /// the task waits RetryDelay(k) = retry_backoff_s * 2^min(k-1, 30)
+  /// before its next attempt re-enters the ready queue (simulated
+  /// seconds on the simulated path, wall-clock seconds on the thread
+  /// pool and the multi-process plane).
   double retry_backoff_s = 0.05;
+  double RetryDelay(int attempt) const {
+    return retry_backoff_s *
+           static_cast<double>(1ull << std::min(attempt - 1, 30));
+  }
 
   // ---------------------------------------------------------------
   // Shared: workload partitioning hint of the high-level algos API.
   // ---------------------------------------------------------------
   /// Block dimension (square b x b blocks for matmul; b-row blocks
   /// for kmeans). 0 = pick one block per ~worker for matmul /
-  /// 4 blocks per worker for kmeans.
+  /// 4 blocks per worker for kmeans; negative is invalid.
   int64_t block_dim = 0;
 
   // ---------------------------------------------------------------
@@ -108,21 +114,9 @@ struct RunOptions {
   /// unchanged — the differential fuzzer holds cache-on legs
   /// bit-exact against cache-off baselines. Off by default: fault
   /// injection schedules (FaultyStorage op counts) and existing bench
-  /// baselines assume the uncached storage-op sequence.
+  /// baselines assume the uncached storage-op sequence. Each worker's
+  /// budget is storage::kDefaultBlockCacheBytes (64 MiB).
   bool block_cache = false;
-  /// Per-worker cache budget in bytes. 0 = 64 MiB per worker.
-  uint64_t block_cache_bytes = 0;
-
-  // ---------------------------------------------------------------
-  // Real-execution data-plane geometry. 0 = derive from the detected
-  // topology (cores/domains), so bigger hosts automatically get wider
-  // striping instead of the old compile-time constants.
-  // ---------------------------------------------------------------
-  /// Lock shards of the executor-private InMemoryStorage (storage
-  /// mode). Rounded to a power of two by the store.
-  int storage_shards = 0;
-  /// Lock stripes of the memory-mode ShardedValueStore.
-  int value_store_stripes = 0;
 
   // ---------------------------------------------------------------
   // Multi-process (scale-out) path — MultiProcExecutor.
@@ -130,57 +124,45 @@ struct RunOptions {
   /// Worker processes. Each worker is a forked single-threaded
   /// process executing tasks out of the shared-memory arena; the
   /// coordinator schedules over them with topology-aware placement
-  /// (NUMA domains stand in for the paper's cluster nodes).
+  /// (NUMA domains stand in for the paper's cluster nodes). On hosts
+  /// with more than one NUMA domain, each worker process (and each
+  /// thread-pool worker) is pinned to its domain's CPUs, best effort.
   int num_procs = 2;
   /// Shared-memory arena capacity in bytes. 0 = size automatically
   /// from the graph's registered block sizes (with headroom); raise
   /// explicitly when kernels emit blocks much larger than their
   /// registered nominal sizes.
   uint64_t shm_arena_bytes = 0;
-  /// Pin each worker process (and, on multi-domain hosts, each
-  /// thread-pool worker) to its NUMA domain's CPUs. Best effort —
-  /// pinning failures degrade to unpinned workers, never fail a run.
-  bool pin_workers = true;
 
   // ---------------------------------------------------------------
   // Simulated path.
   // ---------------------------------------------------------------
   /// Storage architecture the blocks are read from / written to.
+  /// Under local-disk storage, a node reading a block that lives on
+  /// another node also crosses the Minotauro fabric
+  /// (hw::kMinotauroNetwork*).
   hw::StorageArchitecture storage = hw::StorageArchitecture::kSharedDisk;
   /// Scheduling policy the master uses.
   SchedulingPolicy policy = SchedulingPolicy::kTaskGenerationOrder;
-  /// Knobs of the cost-model policy family (score weights, hedging
-  /// and escalation thresholds, ablation flags). Ignored unless
-  /// `policy == SchedulingPolicy::kCostModel`. Consumed by both the
-  /// simulated and thread-pool paths (hedging applies to each).
+  /// Knobs of the cost-model policy family (ablation flags and the
+  /// thread pool's hedging threshold). Ignored unless `policy ==
+  /// SchedulingPolicy::kCostModel`. Consumed by both the simulated
+  /// and thread-pool paths (hedging applies to each).
   SchedulerConfig sched;
-  /// Inter-node network used for remote block reads under local-disk
-  /// storage (a node pulling a block that lives on another node).
-  /// InfiniBand-class defaults (Minotauro); remote reads stream the
-  /// disk and the network in parallel, so a fast fabric makes remote
-  /// reads nearly as cheap as local ones — which is why scheduling
-  /// policy barely matters on local disks (observation O5).
-  double network_aggregate_bps = 40e9;
-  double network_per_stream_bps = 3e9;
-  double network_latency_s = 0.1e-3;
   /// When >= 0, overrides the policy's per-decision master overhead
   /// (seconds). Used by the scheduler-overhead ablation study.
   double scheduler_overhead_override_s = -1;
   /// Hybrid CPU+GPU placement: GPU-targeted tasks may run on free CPU
-  /// cores when every device is busy, and fall back to CPU when their
-  /// working set exceeds device memory (instead of failing with OOM).
+  /// cores when every device is busy (unless that is over 4x slower),
+  /// and fall back to CPU when their working set exceeds device
+  /// memory (instead of failing with OOM).
   bool hybrid = false;
-  /// Spill guard for hybrid mode: a fitting GPU task only takes a CPU
-  /// core when its CPU compute time is at most this many times its
-  /// GPU compute time — spilling a 20x-slower task to a core creates
-  /// stragglers instead of helping. OOM tasks always spill.
-  double hybrid_max_cpu_slowdown = 4.0;
 
   /// InvalidArgument naming the first bad field and its value:
   /// num_threads or num_procs < 1, max_retries < 0, a negative or
-  /// non-finite retry_backoff_s, or an invalid `sched`. MakeExecutor
-  /// and every executor's Execute call it, so no run starts from a
-  /// knob it would clamp or abort on.
+  /// non-finite retry_backoff_s, block_dim < 0, or an invalid `sched`.
+  /// MakeExecutor and every executor's Execute call it, so no run
+  /// starts from a knob it would clamp or abort on.
   Status Validate() const;
 };
 

@@ -26,27 +26,21 @@ namespace taskbench::runtime {
 /// task still reads it, and the old value's last shared_ptr keeps it
 /// alive regardless.
 ///
-/// The stripe count is a construction-time knob (RunOptions::
-/// value_store_stripes); 0 derives it from the detected core count so
-/// wide hosts stripe wider than the old compile-time 64.
+/// The stripe count derives from the detected core count, so wide
+/// hosts stripe wider than the old compile-time 64.
 class ShardedValueStore {
  public:
-  explicit ShardedValueStore(int64_t num_slots, int stripes = 0)
-      : stripes_(stripes == 0 ? DefaultStripes()
-                              : NextPow2(static_cast<size_t>(
-                                    std::max(1, stripes)))),
-        slots_(static_cast<size_t>(num_slots)) {}
+  explicit ShardedValueStore(int64_t num_slots)
+      : stripes_(DefaultStripes()), slots_(static_cast<size_t>(num_slots)) {}
 
   /// Stripe count derived from the host topology, clamped to
-  /// [64, 1024] (64 is the pre-knob compile-time constant, so small
-  /// hosts behave exactly as before).
+  /// [64, 1024] (64 is the old compile-time constant, so small hosts
+  /// behave exactly as before).
   static size_t DefaultStripes() {
     const size_t want =
         NextPow2(static_cast<size_t>(hw::DetectTopology().total_cpus()) * 16);
     return std::min<size_t>(1024, std::max<size_t>(64, want));
   }
-
-  size_t num_stripes() const { return stripes_.size(); }
 
   /// Current value of `id`, or null when never written.
   std::shared_ptr<data::Matrix> Get(DataId id) const {

@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "hw/device_profiles.h"
 #include "hw/slot_index.h"
 #include "obs/metrics.h"
 #include "perf/cost_model.h"
@@ -28,6 +29,35 @@
 namespace taskbench::runtime {
 
 namespace {
+
+// Cost-model policy constants (docs/SCHEDULERS.md). A ready task's
+// score is
+//
+//   score(t) = kRankWeight * rank(t) - kSlackWeight * slack(t)
+//              + kAgeWeight * age(t)
+//
+// where rank(t) is the task's upward rank (modeled time of the longest
+// dependency chain from t to any sink, t included — the HEFT ranking),
+// slack(t) = critical_path - toplevel(t) - rank(t) is how far t sits
+// off the critical path (0 for critical tasks), and age(t) is how long
+// t has been ready.
+constexpr double kRankWeight = 1.0;
+/// Off-critical-path tasks yield to critical ones.
+constexpr double kSlackWeight = 0.5;
+/// Anti-starvation: larger values converge toward FIFO within a class.
+constexpr double kAgeWeight = 0.1;
+/// A running attempt on a degraded node is hedged once its elapsed
+/// time exceeds this multiple of its modeled (unslowed) duration.
+constexpr double kHedgeThreshold = 1.5;
+/// Hybrid CPU->GPU escalation: a CPU-targeted task whose modeled CPU
+/// parallel time is at least this multiple of its GPU time (and which
+/// fits device memory) may take an idle device.
+constexpr double kEscalateBenefit = 2.0;
+/// Hybrid spill guard: a fitting GPU task only takes a CPU core when
+/// its CPU compute time is at most this multiple of its GPU compute
+/// time; spilling a 20x-slower task creates stragglers instead of
+/// helping. OOM tasks always spill.
+constexpr double kHybridMaxCpuSlowdown = 4.0;
 
 /// All mutable state of one simulation run. The executor itself is
 /// const/reusable; every Execute() builds a fresh SimState.
@@ -94,9 +124,9 @@ class SimState {
     }
 
     sim::BandwidthResourceOptions net_opts;
-    net_opts.capacity_bps = options_.network_aggregate_bps;
-    net_opts.per_flow_cap_bps = options_.network_per_stream_bps;
-    net_opts.per_op_latency_s = options_.network_latency_s;
+    net_opts.capacity_bps = hw::kMinotauroNetworkAggregateBps;
+    net_opts.per_flow_cap_bps = hw::kMinotauroNetworkPerStreamBps;
+    net_opts.per_op_latency_s = hw::kMinotauroNetworkLatencyS;
     net_opts.name = "network";
     network_ =
         std::make_unique<sim::BandwidthResource>(&simulator_, net_opts);
@@ -161,14 +191,14 @@ class SimState {
           const double gpu_time =
               model_.GpuParallelFraction(cost) + model_.CpuGpuComm(cost);
           cpu_spill_ok = model_.CpuParallelFraction(cost) <=
-                         options_.hybrid_max_cpu_slowdown * gpu_time;
+                         kHybridMaxCpuSlowdown * gpu_time;
         }
       }
       task_class_[static_cast<size_t>(t)] = ClassifyTask(
           graph_.task(t).spec, options_.hybrid, gpu_fits, cpu_spill_ok);
       // CPU->GPU escalation (cost-model policy, hybrid mode): a
       // CPU-targeted task whose modeled CPU time dwarfs its GPU time
-      // (benefit/cost >= escalate_benefit) and which fits device
+      // (benefit/cost >= kEscalateBenefit) and which fits device
       // memory is upgraded to the GPU-or-CPU class — it takes an idle
       // device when one is free and still falls back to a core.
       if (escalate && graph_.task(t).spec.processor == Processor::kCpu &&
@@ -176,7 +206,7 @@ class SimState {
         const double gpu_time =
             model_.GpuParallelFraction(cost) + model_.CpuGpuComm(cost);
         if (gpu_time > 0 && model_.CpuParallelFraction(cost) >=
-                                options_.sched.escalate_benefit * gpu_time) {
+                                kEscalateBenefit * gpu_time) {
           task_class_[static_cast<size_t>(t)] = PlacementClass::kGpuOrCpu;
         }
       }
@@ -185,7 +215,7 @@ class SimState {
     }
 
     if (policy_ == SchedulingPolicy::kCostModel) {
-      InstallCostScorer(options_.sched);
+      InstallCostScorer();
     }
 
     // Roots enter the ready set after the scorer (if any) is in
@@ -438,12 +468,13 @@ class SimState {
   /// length (critical-path-from-source) and the derived slack, folded
   /// into one static push key
   ///
-  ///   key(t) = alpha * rank(t) - beta * slack(t) - gamma * ready_time
+  ///   key(t) = kRankWeight * rank(t) - kSlackWeight * slack(t)
+  ///            - kAgeWeight * ready_time
   ///
   /// installed on the ReadyQueue. Task ids are topological (deps have
   /// strictly lower ids — TaskGraph::Validate), so one forward and
   /// one backward pass over the id range suffice. O(V + E) total.
-  void InstallCostScorer(const SchedulerConfig& sched) {
+  void InstallCostScorer() {
     const auto n = static_cast<size_t>(graph_.num_tasks());
     est_.resize(n);
     std::vector<double> toplen(n, 0.0);
@@ -472,14 +503,14 @@ class SimState {
     for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
       const auto ts = static_cast<size_t>(t);
       const double slack = critical_path - toplen[ts] - rank[ts];
-      static_key_[ts] = sched.alpha * rank[ts] - sched.beta * slack;
+      static_key_[ts] = kRankWeight * rank[ts] - kSlackWeight * slack;
     }
-    const double gamma = sched.gamma;
-    // Subtracting gamma * push-time makes earlier-ready tasks score
-    // higher as simulated time advances — the age term — while
+    // Subtracting kAgeWeight * push-time makes earlier-ready tasks
+    // score higher as simulated time advances — the age term — while
     // keeping every queued key constant, so heap order stays valid.
-    scorer_ = [this, gamma](TaskId t) {
-      return static_key_[static_cast<size_t>(t)] - gamma * simulator_.Now();
+    scorer_ = [this](TaskId t) {
+      return static_key_[static_cast<size_t>(t)] -
+             kAgeWeight * simulator_.Now();
     };
     ready_.SetScorer(scorer_);
   }
@@ -563,7 +594,7 @@ class SimState {
 
   /// Scans the live attempts for stragglers (cost-model policy with
   /// an active fault plan only — see `hedging_`): an attempt on a
-  /// degraded node whose elapsed time already exceeds hedge_threshold
+  /// degraded node whose elapsed time already exceeds kHedgeThreshold
   /// x its modeled (unslowed) duration gets a speculative duplicate
   /// on the lowest-id healthy node with a free matching slot. The
   /// duplicate dispatch goes through the master like any decision
@@ -581,8 +612,7 @@ class SimState {
       if (run->hedged || run->cancelled || !run->started) continue;
       if (node_slow_[static_cast<size_t>(run->node)] <= 1.0) continue;
       const double elapsed = simulator_.Now() - run->dispatch_done;
-      if (elapsed <=
-          options_.sched.hedge_threshold * est_[static_cast<size_t>(run->id)]) {
+      if (elapsed <= kHedgeThreshold * est_[static_cast<size_t>(run->id)]) {
         continue;
       }
       auto& slots =
@@ -1088,10 +1118,7 @@ class SimState {
     }
     ++stats_.retries;
     pending_retry_[static_cast<size_t>(id)] = 1;
-    const double delay =
-        options_.retry_backoff_s *
-        static_cast<double>(1ull << std::min(attempt - 1, 30));
-    simulator_.After(delay, [this, id]() {
+    simulator_.After(options_.RetryDelay(attempt), [this, id]() {
       if (!failure_.ok()) return;
       pending_retry_[static_cast<size_t>(id)] = 0;
       // A crash between failure and backoff expiry may have lost the

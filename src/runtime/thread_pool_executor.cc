@@ -90,14 +90,12 @@ ThreadPoolExecutor::ThreadPoolExecutor(
     RunOptions options, std::shared_ptr<storage::BlockStorage> store)
     : options_(std::move(options)), store_(std::move(store)) {
   if (options_.use_storage && store_ == nullptr) {
-    store_ = std::make_shared<storage::InMemoryStorage>(
-        static_cast<size_t>(std::max(0, options_.storage_shards)));
+    store_ = std::make_shared<storage::InMemoryStorage>();
     private_store_ = true;
   }
   if (options_.block_cache && options_.use_storage && private_store_) {
     fetch_cache_ = std::make_unique<storage::BlockCache>(
-        options_.block_cache_bytes != 0 ? options_.block_cache_bytes
-                                        : storage::kDefaultBlockCacheBytes);
+        storage::kDefaultBlockCacheBytes);
   }
 }
 
@@ -202,8 +200,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   }
 
   // Memory-mode value store; unused (size 0) in storage mode.
-  ShardedValueStore values(options_.use_storage ? 0 : graph.num_data(),
-                           options_.value_store_stripes);
+  ShardedValueStore values(options_.use_storage ? 0 : graph.num_data());
 
   // Storage-mode keys, formatted once per datum instead of on every
   // Put/Get (the old KeyFor-per-operation showed up in profiles).
@@ -357,13 +354,10 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // the telemetry merge.
   std::vector<std::unique_ptr<storage::BlockCache>> worker_caches;
   if (use_cache) {
-    const uint64_t cache_budget = options_.block_cache_bytes != 0
-                                      ? options_.block_cache_bytes
-                                      : storage::kDefaultBlockCacheBytes;
     worker_caches.reserve(static_cast<size_t>(num_workers));
     for (int w = 0; w < num_workers; ++w) {
-      worker_caches.push_back(
-          std::make_unique<storage::BlockCache>(cache_budget));
+      worker_caches.push_back(std::make_unique<storage::BlockCache>(
+          storage::kDefaultBlockCacheBytes));
     }
   }
 
@@ -713,8 +707,9 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   };
 
   auto worker = [&](int worker_id) {
-    if (options_.pin_workers && topo.num_domains() > 1) {
-      // Best effort: an unpinnable worker is slower, never wrong.
+    if (topo.num_domains() > 1) {
+      // Pin to the worker's NUMA domain. Best effort: an unpinnable
+      // worker is slower, never wrong.
       const Status ignored = hw::PinCurrentThreadToCpus(
           topo.domains[static_cast<size_t>(topo.domain_of_worker(
                            worker_id, num_workers))].cpus);
@@ -880,9 +875,8 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
         }
         // Interruptible backoff: sleep in short slices so a Cancel()
         // lands within ~1 ms instead of after a full exponential wait.
-        const auto backoff = std::chrono::duration<double>(
-            options_.retry_backoff_s *
-            static_cast<double>(1ull << std::min(attempt - 1, 30)));
+        const auto backoff =
+            std::chrono::duration<double>(options_.RetryDelay(attempt));
         const Clock::time_point wake_at =
             Clock::now() +
             std::chrono::duration_cast<Clock::duration>(backoff);
@@ -944,24 +938,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
   if (pool.failed.load(std::memory_order_seq_cst)) return pool.failure;
 
-  if (check) {
-    // Conservation: tasks run one-at-a-time per worker, so total busy
-    // time cannot exceed workers x makespan (all timestamps share one
-    // monotonic clock and every task ran inside [0, makespan]).
-    double busy = 0;
-    double max_end = 0;
-    for (const TaskRecord& rec : records) {
-      busy += rec.duration();
-      max_end = std::max(max_end, rec.end);
-    }
-    const double cap = max_end * num_workers;
-    if (busy > cap + 1e-9 * cap + 1e-12) {
-      return Status::FailedPrecondition(StrFormat(
-          "invariant violation: total busy time %.17g exceeds %d "
-          "workers x makespan %.17g",
-          busy, num_workers, max_end));
-    }
-  }
+  if (check) TB_RETURN_IF_ERROR(CheckBusyTimeBound(records, num_workers));
 
   if (telemetry) {
     obs::MetricsRegistry& merged = *metrics_sink;
@@ -1006,40 +983,31 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
 Result<data::Matrix> ThreadPoolExecutor::FetchData(const TaskGraph& graph,
                                                    DataId id) const {
-  if (id < 0 || id >= graph.num_data()) {
-    return Status::InvalidArgument(
-        StrFormat("unknown data id %lld", static_cast<long long>(id)));
-  }
-  if (options_.use_storage) {
-    // Post-run read cache (block_cache mode, executor-private store
-    // only): baseline comparisons fetch the same result blocks over
-    // and over; serve repeats from the deserialized copy. Version 0
-    // is a constant — the cache is cleared whenever Execute may
-    // rewrite the scope-0 keys it was built from.
-    if (fetch_cache_ != nullptr) {
-      std::lock_guard<std::mutex> lock(fetch_mu_);
-      if (storage::BlockCache::ValuePtr hit =
-              fetch_cache_->Get(static_cast<uint64_t>(id), 0)) {
-        return *hit;
-      }
-      TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          store_->Get(KeyFor(0, id)));
-      TB_ASSIGN_OR_RETURN(data::Matrix m,
-                          storage::Serializer::Deserialize(bytes));
-      storage::BlockCache::ValuePtr cached =
-          fetch_cache_->Put(static_cast<uint64_t>(id), 0, std::move(m));
-      return *cached;
+  // Memory mode wrote every value back onto the graph entries.
+  if (!options_.use_storage) return FetchGraphValue(graph, id);
+  TB_RETURN_IF_ERROR(CheckDataId(graph, id));
+  // Post-run read cache (block_cache mode, executor-private store
+  // only): baseline comparisons fetch the same result blocks over and
+  // over; serve repeats from the deserialized copy. Version 0 is a
+  // constant — the cache is cleared whenever Execute may rewrite the
+  // scope-0 keys it was built from.
+  if (fetch_cache_ != nullptr) {
+    std::lock_guard<std::mutex> lock(fetch_mu_);
+    if (storage::BlockCache::ValuePtr hit =
+            fetch_cache_->Get(static_cast<uint64_t>(id), 0)) {
+      return *hit;
     }
     TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
                         store_->Get(KeyFor(0, id)));
-    return storage::Serializer::Deserialize(bytes);
+    TB_ASSIGN_OR_RETURN(data::Matrix m,
+                        storage::Serializer::Deserialize(bytes));
+    storage::BlockCache::ValuePtr cached =
+        fetch_cache_->Put(static_cast<uint64_t>(id), 0, std::move(m));
+    return *cached;
   }
-  const DataEntry& entry = graph.data(id);
-  if (!entry.value.has_value()) {
-    return Status::NotFound(
-        StrFormat("datum %lld has no value", static_cast<long long>(id)));
-  }
-  return *entry.value;
+  TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                      store_->Get(KeyFor(0, id)));
+  return storage::Serializer::Deserialize(bytes);
 }
 
 }  // namespace taskbench::runtime

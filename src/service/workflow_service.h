@@ -162,7 +162,7 @@ struct ServiceReport {
   int64_t still_queued = 0;   ///< non-terminal at snapshot time
   int64_t still_running = 0;  ///< non-terminal at snapshot time
 
-  /// Single JSON document (validates under obs::ValidateJson).
+  /// Single JSON document (passes ValidateJson, common/json.h).
   std::string ToJson() const;
 };
 

@@ -11,8 +11,8 @@
 
 namespace taskbench::storage {
 
-/// Per-worker cache budget used when RunOptions::block_cache_bytes
-/// is left at 0.
+/// Byte budget of each worker's cache (and of the thread pool's
+/// post-run fetch cache).
 inline constexpr uint64_t kDefaultBlockCacheBytes = 64ull << 20;  // 64 MiB
 
 /// A bounded, byte-budgeted, *version-keyed* cache of deserialized

@@ -25,8 +25,7 @@ size_t InMemoryStorage::DefaultShards() {
   return std::min<size_t>(256, std::max<size_t>(16, want));
 }
 
-InMemoryStorage::InMemoryStorage(size_t shards)
-    : shards_(shards == 0 ? DefaultShards() : NextPow2(shards)) {}
+InMemoryStorage::InMemoryStorage() : shards_(DefaultShards()) {}
 
 Status BlockStorage::Put(const std::string& key, const uint8_t* data,
                          size_t size) {

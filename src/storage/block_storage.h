@@ -67,21 +67,17 @@ class BlockStorage {
 /// Sharded: keys hash onto independent (map, mutex) pairs so
 /// concurrent Put/Get streams from the thread-pool workers contend
 /// only when they land on the same stripe, not on one global lock.
-/// The shard count is a construction-time knob (RunOptions::
-/// storage_shards): 0 derives it from the detected core count, so
-/// wider hosts automatically get wider striping.
+/// The shard count derives from the detected core count, so wider
+/// hosts automatically get wider striping.
 class InMemoryStorage final : public BlockStorage {
  public:
-  /// `shards` is rounded up to a power of two; 0 = DefaultShards().
-  explicit InMemoryStorage(size_t shards = 0);
+  InMemoryStorage();
 
   /// Shard count derived from the host topology: enough stripes that
   /// every core can stream blocks with little collision probability,
-  /// clamped to [16, 256] (16 is the pre-knob compile-time constant,
-  /// so small hosts behave exactly as before).
+  /// clamped to [16, 256] (16 is the old compile-time constant, so
+  /// small hosts behave exactly as before).
   static size_t DefaultShards();
-
-  size_t num_shards() const { return shards_.size(); }
 
   Status Put(const std::string& key, std::vector<uint8_t> bytes) override;
   Result<std::vector<uint8_t>> Get(const std::string& key) const override;

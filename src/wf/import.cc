@@ -4,8 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "common/json.h"
 #include "common/strings.h"
-#include "wf/json.h"
 
 namespace taskbench::wf {
 

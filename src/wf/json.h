@@ -1,49 +1,13 @@
 #ifndef TASKBENCH_WF_JSON_H_
 #define TASKBENCH_WF_JSON_H_
 
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
-
-#include "common/result.h"
+// The JSON grammar lives in common/json.h; these names stay for the
+// end-to-end benchmark, which still includes them.
+#include "common/json.h"
 
 namespace taskbench::wf {
-
-/// A parsed JSON document node. Unlike obs::ValidateJson (which only
-/// scans), the wf importer must materialize values: WfFormat task
-/// names, parent lists and byte sizes all come out of this tree.
-/// Object members keep document order so error messages and
-/// round-trip tests are stable.
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number_value = 0;
-  std::string string_value;
-  std::vector<JsonValue> items;  ///< kArray
-  std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject
-
-  bool IsNull() const { return kind == Kind::kNull; }
-  bool IsBool() const { return kind == Kind::kBool; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
-  bool IsString() const { return kind == Kind::kString; }
-  bool IsArray() const { return kind == Kind::kArray; }
-  bool IsObject() const { return kind == Kind::kObject; }
-
-  /// First member named `key`, or nullptr (objects only).
-  const JsonValue* Find(std::string_view key) const;
-};
-
-/// Strict RFC 8259 parser: one value surrounded only by whitespace,
-/// no trailing garbage, no NaN/Infinity literals, nesting capped at
-/// 96 levels. Errors are InvalidArgument with the byte offset, so a
-/// truncated WfFormat document fails with "unexpected end of input"
-/// instead of importing a partial workflow.
-Result<JsonValue> ParseJson(std::string_view text);
-
+using ::taskbench::JsonValue;
+using ::taskbench::ParseJson;
 }  // namespace taskbench::wf
 
 #endif  // TASKBENCH_WF_JSON_H_

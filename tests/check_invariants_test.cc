@@ -2,13 +2,17 @@
 // executors and reject deliberately corrupted ones — each mutation
 // here models a distinct executor bug class (lost record, time
 // travel, phantom scheduler work, over-committed node, attempt-log
-// corruption). Also covers the online checker's RunOptions wiring.
+// corruption). Also covers the online checker's RunOptions wiring and
+// the real executors' busy-time bound.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "check/invariants.h"
 #include "check/workload.h"
 #include "hw/cluster.h"
+#include "runtime/invariant_check.h"
 #include "runtime/run_options.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/thread_pool_executor.h"
@@ -200,6 +204,35 @@ TEST(VerifyReportTest, OnlineThreadPoolCheckerPassesCleanRuns) {
     EXPECT_TRUE(report.ok())
         << "storage=" << use_storage << ": " << report.status().ToString();
   }
+}
+
+runtime::TaskRecord Busy(double start, double end) {
+  runtime::TaskRecord rec;
+  rec.start = start;
+  rec.end = end;
+  return rec;
+}
+
+TEST(BusyTimeBoundTest, AcceptsFullyPackedWorkers) {
+  // Two workers busy over the whole [0, 2] makespan: busy == cap.
+  const std::vector<runtime::TaskRecord> records = {
+      Busy(0, 1), Busy(1, 2), Busy(0, 2)};
+  EXPECT_TRUE(runtime::CheckBusyTimeBound(records, 2).ok());
+  EXPECT_TRUE(runtime::CheckBusyTimeBound({}, 1).ok());
+}
+
+TEST(BusyTimeBoundTest, RejectsMoreBusyTimeThanWorkersTimesMakespan) {
+  // Three overlapping tasks on two workers: 3 s busy in a 1 s run.
+  const std::vector<runtime::TaskRecord> records = {
+      Busy(0, 1), Busy(0, 1), Busy(0, 1)};
+  const Status status = runtime::CheckBusyTimeBound(records, 2);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.message().rfind("invariant violation: total busy time 3 "
+                                   "exceeds 2 workers x makespan 1",
+                                   0),
+            0u)
+      << status.ToString();
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 
 #include "check/invariants.h"
 #include "check/workload.h"
+#include "common/json.h"
 #include "hw/cluster.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/fault.h"
 #include "runtime/metrics_export.h"
@@ -45,13 +45,13 @@ check::WorkloadSpec SmallChain() {
 void ExpectValidExports(const RunReport& report) {
   std::ostringstream trace;
   runtime::StreamChromeTrace(report, trace);
-  Status s = obs::ValidateJson(trace.str());
+  Status s = ValidateJson(trace.str());
   EXPECT_TRUE(s.ok()) << "trace: " << s.ToString();
 
   obs::MetricsRegistry registry;
   std::ostringstream metrics;
   runtime::StreamMetricsJson(report, &registry, metrics);
-  s = obs::ValidateJson(metrics.str());
+  s = ValidateJson(metrics.str());
   EXPECT_TRUE(s.ok()) << "metrics: " << s.ToString();
 }
 

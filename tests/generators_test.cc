@@ -1,66 +1,58 @@
 #include "data/generators.h"
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace taskbench::data {
 namespace {
 
-GridSpec SmallSpec(int64_t rows = 64, int64_t cols = 16, int64_t br = 16,
-                   int64_t bc = 16) {
-  auto spec = GridSpec::Create(DatasetSpec{"d", rows, cols}, br, bc);
-  EXPECT_TRUE(spec.ok());
-  return *spec;
+Matrix Filled(uint64_t seed, int64_t rows = 64, int64_t cols = 16) {
+  Matrix m(rows, cols);
+  Rng rng(seed);
+  FillUniform(&m, &rng);
+  return m;
 }
 
 TEST(GeneratorsTest, UniformIsDeterministicPerSeed) {
-  const GridSpec spec = SmallSpec();
-  auto a = UniformArray(spec, 42);
-  auto b = UniformArray(spec, 42);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  for (int64_t bk = 0; bk < spec.grid_rows(); ++bk) {
-    EXPECT_TRUE(a->block(bk, 0).ApproxEquals(b->block(bk, 0), 0));
-  }
-  auto c = UniformArray(spec, 43);
-  ASSERT_TRUE(c.ok());
-  EXPECT_FALSE(a->block(0, 0).ApproxEquals(c->block(0, 0), 0));
+  EXPECT_TRUE(Filled(42).ApproxEquals(Filled(42), 0));
+  EXPECT_FALSE(Filled(42).ApproxEquals(Filled(43), 0));
 }
 
 TEST(GeneratorsTest, UniformValuesInUnitInterval) {
-  const GridSpec spec = SmallSpec();
-  auto a = UniformArray(spec, 1);
-  ASSERT_TRUE(a.ok());
-  auto m = a->Collect();
-  ASSERT_TRUE(m.ok());
-  for (int64_t r = 0; r < m->rows(); ++r) {
-    for (int64_t c = 0; c < m->cols(); ++c) {
-      EXPECT_GE(m->At(r, c), 0.0);
-      EXPECT_LT(m->At(r, c), 1.0);
-    }
+  const Matrix m = Filled(1);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    EXPECT_GE(m.data()[i], 0.0);
+    EXPECT_LT(m.data()[i], 1.0);
   }
 }
 
 TEST(GeneratorsTest, BlockValuesIndependentOfPartitioning) {
-  // The same dataset cut two ways must produce the same per-block
-  // streams only when extents coincide; at minimum, the same spec
-  // regenerated twice matches block-for-block (order independence).
-  const GridSpec spec = SmallSpec(64, 16, 8, 16);
-  auto a = UniformArray(spec, 7);
-  ASSERT_TRUE(a.ok());
-  // Regenerate only the last block via Generate and compare.
-  auto b = DsArray::Generate(spec, [&](const BlockExtent& e, Matrix* m) {
-    if (e.row0 == 56) {
-      Rng rng(static_cast<uint64_t>(7) ^
-              (static_cast<uint64_t>(e.row0) << 20) ^
-              (static_cast<uint64_t>(e.col0) + 0x9e3779b9ULL));
-      FillUniform(m, &rng);
-    }
-  });
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(
-      a->block(7, 0).ApproxEquals(b->block(7, 0), 0));
+  // The algos seed one Rng per block and the fillers keep no state of
+  // their own, so filling the blocks in reverse order gives the same
+  // block-for-block values.
+  constexpr int kBlocks = 8;
+  std::vector<Matrix> forward, backward(kBlocks);
+  for (int b = 0; b < kBlocks; ++b) {
+    Matrix m(8, 16);
+    Rng rng(7 ^ (static_cast<uint64_t>(b) * 0x9e3779b9ULL));
+    FillGaussianBlobs(&m, &rng, 3);
+    forward.push_back(std::move(m));
+  }
+  for (int b = kBlocks - 1; b >= 0; --b) {
+    Matrix m(8, 16);
+    Rng rng(7 ^ (static_cast<uint64_t>(b) * 0x9e3779b9ULL));
+    FillGaussianBlobs(&m, &rng, 3);
+    backward[static_cast<size_t>(b)] = std::move(m);
+  }
+  for (int b = 0; b < kBlocks; ++b) {
+    EXPECT_TRUE(forward[static_cast<size_t>(b)].ApproxEquals(
+        backward[static_cast<size_t>(b)], 0))
+        << "block " << b;
+  }
 }
 
 TEST(GeneratorsTest, SkewZeroMatchesUniformStatistics) {
@@ -111,25 +103,35 @@ TEST(GeneratorsTest, BlobsClusterAroundCenters) {
   }
 }
 
-TEST(GeneratorsTest, SkewedArrayDeterministic) {
-  const GridSpec spec = SmallSpec();
-  auto a = SkewedArray(spec, 42, 0.5);
-  auto b = SkewedArray(spec, 42, 0.5);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->block(1, 0).ApproxEquals(b->block(1, 0), 0));
+TEST(GeneratorsTest, SkewedIsDeterministicPerSeed) {
+  Matrix a(64, 16), b(64, 16);
+  Rng ra(42), rb(42);
+  FillSkewed(&a, &ra, 0.5);
+  FillSkewed(&b, &rb, 0.5);
+  EXPECT_TRUE(a.ApproxEquals(b, 0));
 }
 
-TEST(GeneratorsTest, BlobsArrayUsesSameCentersAcrossBlocks) {
-  const GridSpec spec = SmallSpec(64, 4, 16, 4);
-  auto a = BlobsArray(spec, 42, 2);
-  ASSERT_TRUE(a.ok());
-  // All blocks drawn from the same mixture: global mean of each
-  // feature should be similar across blocks (within a few sigma).
-  for (int64_t bk = 1; bk < spec.grid_rows(); ++bk) {
-    const double m0 = a->block(0, 0).Sum() / a->block(0, 0).size();
-    const double mk = a->block(bk, 0).Sum() / a->block(bk, 0).size();
-    EXPECT_NEAR(m0, mk, 8.0);
+TEST(GeneratorsTest, BlobsUseSameCentersAcrossBlocks) {
+  // The centers come from a fixed stream inside FillGaussianBlobs, not
+  // from the caller's Rng: with one center, blocks drawn from unrelated
+  // sample streams share each feature's mean up to the N(0, 1) noise
+  // (standard error 1/16 at 256 rows).
+  std::vector<double> first_means;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Matrix m(256, 4);
+    Rng rng(seed);
+    FillGaussianBlobs(&m, &rng, 1);
+    for (int64_t c = 0; c < m.cols(); ++c) {
+      double mean = 0;
+      for (int64_t r = 0; r < m.rows(); ++r) mean += m.At(r, c);
+      mean /= static_cast<double>(m.rows());
+      if (seed == 1) {
+        first_means.push_back(mean);
+      } else {
+        EXPECT_NEAR(mean, first_means[static_cast<size_t>(c)], 0.5)
+            << "seed " << seed << " feature " << c;
+      }
+    }
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/ds_array.h"
 #include "data/generators.h"
 #include "runtime/thread_pool_executor.h"
 

@@ -1,6 +1,5 @@
-// Unit tests for the taskbench::obs telemetry layer: the JSON
-// validator, the metrics instruments/registry, and the streaming
-// Chrome-trace writer.
+// Unit tests for the taskbench::obs telemetry layer: the metrics
+// instruments/registry and the streaming Chrome-trace writer.
 
 #include <gtest/gtest.h>
 
@@ -8,78 +7,12 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_writer.h"
 
 namespace taskbench::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ValidateJson
-
-TEST(ValidateJsonTest, AcceptsScalars) {
-  EXPECT_TRUE(ValidateJson("0").ok());
-  EXPECT_TRUE(ValidateJson("-12").ok());
-  EXPECT_TRUE(ValidateJson("3.5e-7").ok());
-  EXPECT_TRUE(ValidateJson("true").ok());
-  EXPECT_TRUE(ValidateJson("false").ok());
-  EXPECT_TRUE(ValidateJson("null").ok());
-  EXPECT_TRUE(ValidateJson("\"hi\"").ok());
-}
-
-TEST(ValidateJsonTest, AcceptsContainers) {
-  EXPECT_TRUE(ValidateJson("{}").ok());
-  EXPECT_TRUE(ValidateJson("[]").ok());
-  EXPECT_TRUE(ValidateJson("[1, 2, 3]").ok());
-  EXPECT_TRUE(ValidateJson("{\"a\": [1, {\"b\": null}], \"c\": \"d\"}").ok());
-  EXPECT_TRUE(ValidateJson("  {\n\t\"k\" : [ ]\r}  ").ok());
-}
-
-TEST(ValidateJsonTest, AcceptsEscapes) {
-  EXPECT_TRUE(ValidateJson("\"a\\\"b\\\\c\\n\\t\\u00e9\"").ok());
-  EXPECT_TRUE(ValidateJson("\"\\/\\b\\f\\r\"").ok());
-}
-
-TEST(ValidateJsonTest, RejectsMalformed) {
-  EXPECT_FALSE(ValidateJson("").ok());
-  EXPECT_FALSE(ValidateJson("{").ok());
-  EXPECT_FALSE(ValidateJson("[1,]").ok());
-  EXPECT_FALSE(ValidateJson("{\"a\" 1}").ok());
-  EXPECT_FALSE(ValidateJson("{1: 2}").ok());     // non-string key
-  EXPECT_FALSE(ValidateJson("\"open").ok());     // unterminated string
-  EXPECT_FALSE(ValidateJson("01").ok());         // leading zero
-  EXPECT_FALSE(ValidateJson("1.").ok());         // empty fraction
-  EXPECT_FALSE(ValidateJson("1e").ok());         // empty exponent
-  EXPECT_FALSE(ValidateJson("nul").ok());
-  EXPECT_FALSE(ValidateJson("truefalse").ok());  // trailing content
-  EXPECT_FALSE(ValidateJson("{} {}").ok());      // two documents
-}
-
-TEST(ValidateJsonTest, RejectsBadStrings) {
-  EXPECT_FALSE(ValidateJson("\"a\nb\"").ok());    // raw control char
-  EXPECT_FALSE(ValidateJson("\"\\x41\"").ok());   // invalid escape
-  EXPECT_FALSE(ValidateJson("\"\\u12\"").ok());   // short \u escape
-  EXPECT_FALSE(ValidateJson("\"\\u12gz\"").ok()); // non-hex \u escape
-}
-
-TEST(ValidateJsonTest, ErrorsCarryByteOffset) {
-  const Status s = ValidateJson("[1, oops]");
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("at byte 4"), std::string::npos)
-      << s.ToString();
-}
-
-TEST(ValidateJsonTest, DeepNestingIsBounded) {
-  // Just under the depth cap parses; far past it is rejected rather
-  // than blowing the stack.
-  std::string ok_doc(200, '[');
-  ok_doc += std::string(200, ']');
-  EXPECT_TRUE(ValidateJson(ok_doc).ok());
-  std::string deep(1000, '[');
-  deep += std::string(1000, ']');
-  EXPECT_FALSE(ValidateJson(deep).ok());
-}
 
 // ---------------------------------------------------------------------------
 // Counter / Gauge / Histogram

@@ -125,13 +125,6 @@ TEST(ReportTest, TextTableHandlesRaggedRows) {
   EXPECT_NE(rendered.find("3"), std::string::npos);
 }
 
-TEST(ReportTest, AsciiBarChartScales) {
-  const std::string chart = AsciiBarChart({{"cpu", 2.0}, {"gpu", 1.0}}, 10);
-  // cpu bar twice as long as gpu bar.
-  EXPECT_NE(chart.find("##########"), std::string::npos);
-  EXPECT_NE(chart.find("#####"), std::string::npos);
-}
-
 TEST(ReportTest, FormatSpeedupMatchesPaperStyle) {
   EXPECT_EQ(FormatSpeedup(5.69), "5.69x");
   EXPECT_EQ(FormatSpeedup(-1.2), "-1.20x");

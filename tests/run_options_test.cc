@@ -38,13 +38,9 @@ TEST(RunOptionsTest, ValidateAcceptsDefaultsAndBoundaryValues) {
       {"num_procs", [](RunOptions* o) { o->num_procs = 1; }},
       {"max_retries", [](RunOptions* o) { o->max_retries = 0; }},
       {"retry_backoff_s", [](RunOptions* o) { o->retry_backoff_s = 0; }},
-      {"alpha", [](RunOptions* o) { o->sched.alpha = -2; }},
-      {"beta", [](RunOptions* o) { o->sched.beta = 0; }},
-      {"gamma", [](RunOptions* o) { o->sched.gamma = 0; }},
-      {"hedge_threshold", [](RunOptions* o) { o->sched.hedge_threshold = 1; }},
+      {"block_dim", [](RunOptions* o) { o->block_dim = 0; }},
+      {"block_dim", [](RunOptions* o) { o->block_dim = 1; }},
       {"hedge_min_s", [](RunOptions* o) { o->sched.hedge_min_s = 0; }},
-      {"escalate_benefit",
-       [](RunOptions* o) { o->sched.escalate_benefit = 1e-9; }},
   };
   for (const Case& c : cases) {
     RunOptions options;
@@ -67,28 +63,13 @@ TEST(RunOptionsTest, ValidateRejectsEachBadKnobByName) {
        [](RunOptions* o) { o->retry_backoff_s = kNaN; }},
       {"RunOptions.retry_backoff_s = inf",
        [](RunOptions* o) { o->retry_backoff_s = kInf; }},
-      {"SchedulerConfig.alpha = nan",
-       [](RunOptions* o) { o->sched.alpha = kNaN; }},
-      {"SchedulerConfig.beta = inf",
-       [](RunOptions* o) { o->sched.beta = kInf; }},
-      {"SchedulerConfig.gamma = -inf",
-       [](RunOptions* o) { o->sched.gamma = -kInf; }},
-      {"SchedulerConfig.hedge_threshold = 0.5",
-       [](RunOptions* o) { o->sched.hedge_threshold = 0.5; }},
-      {"SchedulerConfig.hedge_threshold = nan",
-       [](RunOptions* o) { o->sched.hedge_threshold = kNaN; }},
-      {"SchedulerConfig.hedge_threshold = inf",
-       [](RunOptions* o) { o->sched.hedge_threshold = kInf; }},
+      {"RunOptions.block_dim = -5", [](RunOptions* o) { o->block_dim = -5; }},
       {"SchedulerConfig.hedge_min_s = -0.001",
        [](RunOptions* o) { o->sched.hedge_min_s = -0.001; }},
       {"SchedulerConfig.hedge_min_s = nan",
        [](RunOptions* o) { o->sched.hedge_min_s = kNaN; }},
-      {"SchedulerConfig.escalate_benefit = 0",
-       [](RunOptions* o) { o->sched.escalate_benefit = 0; }},
-      {"SchedulerConfig.escalate_benefit = -1",
-       [](RunOptions* o) { o->sched.escalate_benefit = -1; }},
-      {"SchedulerConfig.escalate_benefit = inf",
-       [](RunOptions* o) { o->sched.escalate_benefit = kInf; }},
+      {"SchedulerConfig.hedge_min_s = inf",
+       [](RunOptions* o) { o->sched.hedge_min_s = kInf; }},
   };
   for (const Case& c : cases) {
     RunOptions options;
@@ -104,8 +85,17 @@ TEST(RunOptionsTest, ValidateRejectsEachBadKnobByName) {
 TEST(RunOptionsTest, SchedulerConfigValidatesOnItsOwn) {
   EXPECT_TRUE(SchedulerConfig{}.Validate().ok());
   SchedulerConfig config;
-  config.hedge_threshold = 0.99;
+  config.hedge_min_s = -1;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST(RunOptionsTest, RetryDelayDoublesPerAttemptUpToTwoToThe30) {
+  RunOptions options;
+  options.retry_backoff_s = 0.25;
+  EXPECT_EQ(options.RetryDelay(1), 0.25);
+  EXPECT_EQ(options.RetryDelay(2), 0.5);
+  EXPECT_EQ(options.RetryDelay(31), 0.25 * 1073741824.0);  // 2^30
+  EXPECT_EQ(options.RetryDelay(40), options.RetryDelay(31));
 }
 
 TEST(RunOptionsTest, MakeExecutorRejectsInvalidOptionsForEveryKind) {
@@ -130,8 +120,8 @@ TEST(RunOptionsTest, DirectlyConstructedExecutorsRejectInvalidOptions) {
       {"RunOptions.num_threads = 0", [](RunOptions* o) { o->num_threads = 0; }},
       {"RunOptions.max_retries = -1",
        [](RunOptions* o) { o->max_retries = -1; }},
-      {"SchedulerConfig.hedge_threshold = 0.5",
-       [](RunOptions* o) { o->sched.hedge_threshold = 0.5; }},
+      {"SchedulerConfig.hedge_min_s = -0.5",
+       [](RunOptions* o) { o->sched.hedge_min_s = -0.5; }},
   };
   for (const Case& c : cases) {
     RunOptions options;

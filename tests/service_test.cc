@@ -17,8 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "check/workload.h"
+#include "common/json.h"
 #include "hw/cluster.h"
-#include "obs/json.h"
 #include "runtime/executor_factory.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/thread_pool_executor.h"
@@ -383,7 +383,7 @@ TEST(WorkflowServiceTest, ReportJsonValidates) {
     ASSERT_TRUE(service.Wait(*handle).ok());
   }
   const std::string json = service.Report().ToJson();
-  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_TRUE(ValidateJson(json).ok()) << json;
 }
 
 /// Runs the same seeded submission set through a fresh sim-backed
@@ -496,7 +496,7 @@ TEST(WorkflowServiceTest, RateLimitRejectsBurstOverflow) {
   EXPECT_EQ(metrics.counter("service.rejected")->value(), 1);
   // The report JSON carries the new field and still validates.
   const std::string json = report.ToJson();
-  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_TRUE(ValidateJson(json).ok()) << json;
   EXPECT_NE(json.find("\"rate_limited\": 1"), std::string::npos) << json;
 }
 

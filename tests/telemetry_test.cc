@@ -8,10 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "data/matrix.h"
 #include "hw/cluster.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/metrics_export.h"
 #include "runtime/run_options.h"
@@ -210,7 +210,7 @@ TEST(TelemetryTest, MetricsJsonIsValid) {
   std::ostringstream out;
   StreamMetricsJson(report, &registry, out);
   const std::string json = out.str();
-  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_TRUE(ValidateJson(json).ok()) << json;
   EXPECT_NE(json.find("\"schema\": \"taskbench.metrics.v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"scheduler_phases\""), std::string::npos);
@@ -222,7 +222,7 @@ TEST(TelemetryTest, MetricsJsonWithNullRegistryIsValid) {
   const RunReport report = RunSim(graph, RunOptions{});
   std::ostringstream out;
   StreamMetricsJson(report, nullptr, out);
-  EXPECT_TRUE(obs::ValidateJson(out.str()).ok()) << out.str();
+  EXPECT_TRUE(ValidateJson(out.str()).ok()) << out.str();
   EXPECT_NE(out.str().find("\"metrics\": {}"), std::string::npos);
 }
 
@@ -233,7 +233,7 @@ TEST(TelemetryTest, FlowEventsConnectProducersToConsumers) {
   trace_options.graph = &graph;
   trace_options.flow_events = true;
   const std::string json = ChromeTraceJson(report, trace_options);
-  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_TRUE(ValidateJson(json).ok()) << json;
   // Each of the 2 lanes has 2 dependency edges (3 levels) -> 4 flow
   // pairs.
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);

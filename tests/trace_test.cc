@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "hw/cluster.h"
-#include "obs/json.h"
 #include "runtime/simulated_executor.h"
 
 namespace taskbench::runtime {
@@ -31,14 +31,14 @@ TEST(TraceTest, EmptyReportIsValidJson) {
   const std::string json = ChromeTraceJson(report);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("displayTimeUnit"), std::string::npos);
-  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_TRUE(ValidateJson(json).ok()) << json;
 }
 
 TEST(TraceTest, EveryDocumentParsesCleanly) {
   RunReport report;
   report.records.push_back(MakeRecord(0, "matmul_func", 0, 0.0, 2.0));
   report.records.push_back(MakeRecord(1, "kmeans", 1, 0.5, 2.5));
-  EXPECT_TRUE(obs::ValidateJson(ChromeTraceJson(report)).ok());
+  EXPECT_TRUE(ValidateJson(ChromeTraceJson(report)).ok());
 }
 
 TEST(TraceTest, EscapesHostileTaskTypeNames) {
@@ -49,7 +49,7 @@ TEST(TraceTest, EscapesHostileTaskTypeNames) {
   report.records.push_back(
       MakeRecord(0, "evil \"type\" \\ with\nnewline", 0, 0.0, 1.0));
   const std::string json = ChromeTraceJson(report);
-  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_TRUE(ValidateJson(json).ok()) << json;
   EXPECT_NE(json.find("\\\"type\\\""), std::string::npos);
   EXPECT_NE(json.find("\\n"), std::string::npos);
 }
@@ -161,7 +161,7 @@ TEST(TraceTest, EndToEndWithSimulatedRun) {
   auto report = executor.Execute(graph);
   ASSERT_TRUE(report.ok());
   const std::string json = ChromeTraceJson(*report);
-  EXPECT_TRUE(obs::ValidateJson(json).ok());
+  EXPECT_TRUE(ValidateJson(json).ok());
   for (int i = 0; i < 10; ++i) {
     EXPECT_NE(json.find("work #" + std::to_string(i)), std::string::npos);
   }

@@ -201,6 +201,18 @@ TEST(WfImportTest, BadFixturesAreRejectedWithContext) {
   }
 }
 
+TEST(WfImportTest, ParseErrorsNameTheByteOffset) {
+  // The importer parses with the shared grammar, so a syntax error
+  // carries the same "at byte N" suffix as every other JSON reader.
+  const std::string text = ReadFile(FixtureDir() + "/bad/truncated.json");
+  auto result = ImportWfFormat(text);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "unterminated string at byte " + std::to_string(text.size())),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(WfImportTest, TruncationsNeverCrashAndNeverLeakPartialGraphs) {
   // Chop the diamond fixture at every 16-byte boundary: every prefix
   // must fail cleanly (the only valid document is the full one).

@@ -1,14 +1,15 @@
 // json_lint — validates that each file argument is one well-formed
-// JSON document. Exit 0 when every file parses, 1 otherwise, with one
-// diagnostic line per bad file. The CI telemetry smoke job runs the
-// trace and metrics exports through this linter.
+// JSON document under the project's one grammar (common/json.h). Exit
+// 0 when every file parses, 1 otherwise, with one diagnostic line per
+// bad file. CI runs the trace and metrics exports, the bench outputs
+// and every committed JSON document through this linter.
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "obs/json.h"
+#include "common/json.h"
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
     std::ostringstream contents;
     contents << file.rdbuf();
     const std::string text = contents.str();
-    const taskbench::Status status = taskbench::obs::ValidateJson(text);
+    const taskbench::Status status = taskbench::ValidateJson(text);
     if (!status.ok()) {
       std::fprintf(stderr, "%s: %s\n", argv[i],
                    status.ToString().c_str());
