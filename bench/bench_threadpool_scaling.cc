@@ -4,6 +4,10 @@
 //   kernel  — single-thread 2048^2 matmul, blocked vs the pre-PR
 //             naive loops (the kernel-dispatch seam lets us time both
 //             from one binary). Target: >= 3x.
+//   kernel_shapes — the blocked Multiply's per-call cost on one
+//             thread at 4^2 .. 512^2, the block sizes real graphs use:
+//             us per call and GFLOP/s, median and quartiles over
+//             batches. Pins the fixed per-call cost small blocks pay.
 //   scaling — strong scaling of the work-stealing executor over a
 //             wide embarrassingly-parallel matmul DAG, tasks/sec and
 //             parallel efficiency vs the 1-thread run. Target: >= 0.7
@@ -95,6 +99,61 @@ KernelRow RunKernelComparison(int64_t n, int reps) {
   return row;
 }
 
+struct ShapeRow {
+  int64_t n = 0;
+  int64_t calls_per_batch = 0;
+  int batches = 0;
+  double us_p25 = 0, us_p50 = 0, us_p75 = 0;  // microseconds per call
+};
+
+/// Per-call cost of blocked::Multiply on an n x n pair: `batches`
+/// timed batches of back-to-back calls, each batch sized from a
+/// calibration call to last about `batch_s`. Warm: the first calls
+/// are untimed, so one-time set-up is not in the rows. `batches` is
+/// 4k + 1, so the quartiles are exact sample ranks.
+ShapeRow RunShape(int64_t n, int batches, double batch_s) {
+  TB_CHECK((batches - 1) % 4 == 0) << "batches must be 4k + 1";
+  const data::Matrix a = RandomMatrix(n, 5);
+  const data::Matrix b = RandomMatrix(n, 6);
+  double sink = 0;
+  auto call = [&] {
+    auto c = data::blocked::Multiply(a, b);
+    TB_CHECK_OK(c.status());
+    sink += c->At(0, 0);
+  };
+  call();
+  const double t0 = Now();
+  call();
+  const double one = std::max(Now() - t0, 1e-9);
+  ShapeRow row;
+  row.n = n;
+  row.batches = batches;
+  row.calls_per_batch =
+      std::clamp<int64_t>(static_cast<int64_t>(batch_s / one), 1, 1 << 20);
+  std::vector<double> us;
+  for (int i = 0; i < batches; ++i) {
+    const double start = Now();
+    for (int64_t c = 0; c < row.calls_per_batch; ++c) call();
+    us.push_back((Now() - start) * 1e6 /
+                 static_cast<double>(row.calls_per_batch));
+  }
+  // Defeat dead-code elimination across the timing loops.
+  volatile double keep = sink;
+  (void)keep;
+  std::sort(us.begin(), us.end());
+  const size_t quarter = static_cast<size_t>(batches - 1) / 4;
+  row.us_p25 = us[quarter];
+  row.us_p50 = us[2 * quarter];
+  row.us_p75 = us[3 * quarter];
+  return row;
+}
+
+/// GFLOP/s of one n x n x n product taking `us` microseconds.
+double Gflops(int64_t n, double us) {
+  return 2.0 * static_cast<double>(n) * static_cast<double>(n) *
+         static_cast<double>(n) / (us * 1e3);
+}
+
 struct ScaleRow {
   std::string section;  // "scaling" or "overhead"
   int threads = 0;
@@ -168,6 +227,7 @@ ScaleRow RunDag(const std::string& section, TaskGraph graph, int threads) {
 }
 
 std::string ToJson(const KernelRow& kernel,
+                   const std::vector<ShapeRow>& shapes,
                    const std::vector<ScaleRow>& rows, int hw_threads) {
   std::string out = "{\n";
   out += StrFormat(
@@ -175,6 +235,20 @@ std::string ToJson(const KernelRow& kernel,
       "\"blocked_s\": %.6f, \"speedup\": %.3f},\n",
       static_cast<long long>(kernel.n), kernel.naive_s, kernel.blocked_s,
       kernel.speedup);
+  out += "  \"kernel_shapes\": [\n";
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const ShapeRow& r = shapes[i];
+    out += StrFormat(
+        "    {\"n\": %lld, \"calls_per_batch\": %lld, \"batches\": %d, "
+        "\"us_per_call_p25\": %.4g, \"us_per_call_p50\": %.4g, "
+        "\"us_per_call_p75\": %.4g, \"gflops_p25\": %.4g, "
+        "\"gflops_p50\": %.4g, \"gflops_p75\": %.4g}%s\n",
+        static_cast<long long>(r.n), static_cast<long long>(r.calls_per_batch),
+        r.batches, r.us_p25, r.us_p50, r.us_p75, Gflops(r.n, r.us_p75),
+        Gflops(r.n, r.us_p50), Gflops(r.n, r.us_p25),
+        i + 1 < shapes.size() ? "," : "");
+  }
+  out += "  ],\n";
   // Host metadata: a committed trajectory is only comparable to runs
   // on a like host, so say what produced it.
   out += StrFormat("  \"hardware_threads\": %d,\n", hw_threads);
@@ -242,6 +316,20 @@ int Main(int argc, char** argv) {
   std::printf("  naive %.3fs  blocked %.3fs  speedup %.2fx\n",
               kernel.naive_s, kernel.blocked_s, kernel.speedup);
 
+  // --- Blocked Multiply per call across block shapes (single thread).
+  std::printf("%-6s %10s %12s %12s %12s %10s\n", "shape", "calls/batch",
+              "us p25", "us p50", "us p75", "GFLOP/s");
+  std::vector<ShapeRow> shapes;
+  for (int64_t n : {4, 16, 27, 64, 192, 512}) {
+    ShapeRow row = RunShape(n, smoke ? 5 : 9, smoke ? 0.002 : 0.05);
+    std::printf("%4lld^2 %10lld %12.3f %12.3f %12.3f %10.2f\n",
+                static_cast<long long>(row.n),
+                static_cast<long long>(row.calls_per_batch), row.us_p25,
+                row.us_p50, row.us_p75, Gflops(row.n, row.us_p50));
+    std::fflush(stdout);
+    shapes.push_back(row);
+  }
+
   // --- Strong scaling over the wide matmul DAG + tiny-task overhead.
   const int64_t matmul_tasks =
       smoke ? 16 : std::max<int64_t>(64, 16 * hw_threads);
@@ -276,7 +364,7 @@ int Main(int argc, char** argv) {
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   TB_CHECK(f != nullptr) << "cannot open " << out_path;
-  const std::string json = ToJson(kernel, rows, hw_threads);
+  const std::string json = ToJson(kernel, shapes, rows, hw_threads);
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <vector>
+#include <memory>
+#include <new>
 
 #include "common/strings.h"
 
@@ -63,18 +64,57 @@ __attribute__((always_inline)) inline void MicroKernel(
   for (int64_t j = 0; j < kNr; ++j) c[3 * ldc + j] += acc3[j];
 }
 
+/// Grow-only, uninitialised, 64-byte-aligned scratch for one packed
+/// panel. Contents do not survive a growth and are never zeroed.
+class PanelBuffer {
+ public:
+  double* Reserve(int64_t doubles) {
+    if (doubles > capacity_) {
+      data_.reset(static_cast<double*>(::operator new(
+          static_cast<size_t>(doubles) * sizeof(double), kAlign)));
+      capacity_ = doubles;
+    }
+    return data_.get();
+  }
+
+ private:
+  static constexpr std::align_val_t kAlign{64};
+  struct Free {
+    void operator()(double* p) const { ::operator delete(p, kAlign); }
+  };
+  std::unique_ptr<double, Free> data_;
+  int64_t capacity_ = 0;
+};
+
+/// The calling thread's GEMM workspace, reused across calls: a thread
+/// keeps only its largest call's panels (at most KC x NC doubles of B
+/// plus full_rows x KC of A). Reuse is the point: allocating and
+/// zeroing a KC x NC panel costs ~200 us, far more than a whole
+/// small-block product.
+struct GemmWorkspace {
+  PanelBuffer a;
+  PanelBuffer b;
+};
+thread_local GemmWorkspace t_gemm_workspace;
+
 /// C += A * B on raw row-major buffers (M x N times N x Q).
 void GemmBlocked(const double* a, const double* b, double* c, int64_t m,
                  int64_t n, int64_t q) {
-  std::vector<double> bpack(static_cast<size_t>(kKc * kNc));
   const int64_t full_rows = (m / kMr) * kMr;
-  std::vector<double> apack(static_cast<size_t>(full_rows * kKc));
+  const int64_t max_kc = std::min(kKc, n);
+  const int64_t max_nc = std::min(kNc, q);
+  // Packing writes every slot a kernel reads before it reads it, so
+  // neither panel is cleared. B slabs are NR wide, the last one
+  // ragged: its panel rounds the columns up to a multiple of NR.
+  double* const apack = t_gemm_workspace.a.Reserve(full_rows * max_kc);
+  double* const bpack = t_gemm_workspace.b.Reserve(
+      max_kc * ((max_nc + kNr - 1) / kNr) * kNr);
   for (int64_t kk = 0; kk < n; kk += kKc) {
     const int64_t kc = std::min(kKc, n - kk);
     // Pack A rows [0, full_rows) of this K panel, MR-interleaved:
     // apack[(i/MR)*(kc*MR) + k*MR + r] = A[i+r][kk+k].
     for (int64_t i = 0; i < full_rows; i += kMr) {
-      double* dst = apack.data() + (i / kMr) * (kc * kMr);
+      double* dst = apack + (i / kMr) * (kc * kMr);
       for (int64_t k = 0; k < kc; ++k) {
         for (int64_t r = 0; r < kMr; ++r) {
           dst[k * kMr + r] = a[(i + r) * n + kk + k];
@@ -83,27 +123,27 @@ void GemmBlocked(const double* a, const double* b, double* c, int64_t m,
     }
     for (int64_t jj = 0; jj < q; jj += kNc) {
       const int64_t nc = std::min(kNc, q - jj);
-      // Pack B panel [kk, kk+kc) x [jj, jj+nc) into NR slabs, zero
-      // padding the ragged last slab so the micro-kernel never reads
-      // out of bounds.
+      // Pack B panel [kk, kk+kc) x [jj, jj+nc) into NR slabs. The
+      // ragged last slab keeps its NR stride; its padding columns are
+      // left unwritten, since only the guarded edge tile reads that
+      // slab and it stops at nr.
       for (int64_t jb = 0; jb < nc; jb += kNr) {
         const int64_t nr = std::min(kNr, nc - jb);
-        double* dst = bpack.data() + jb * kc;
+        double* dst = bpack + jb * kc;
         for (int64_t k = 0; k < kc; ++k) {
           const double* src = b + (kk + k) * q + jj + jb;
           for (int64_t j = 0; j < nr; ++j) dst[k * kNr + j] = src[j];
-          for (int64_t j = nr; j < kNr; ++j) dst[k * kNr + j] = 0.0;
         }
       }
       for (int64_t i = 0; i < full_rows; i += kMr) {
-        const double* ap = apack.data() + (i / kMr) * (kc * kMr);
+        const double* ap = apack + (i / kMr) * (kc * kMr);
         int64_t jb = 0;
         for (; jb + kNr <= nc; jb += kNr) {
-          MicroKernel(ap, bpack.data() + jb * kc, c + i * q + jj + jb, q, kc);
+          MicroKernel(ap, bpack + jb * kc, c + i * q + jj + jb, q, kc);
         }
         if (jb < nc) {  // ragged j edge: guarded scalar tile
           const int64_t nr = nc - jb;
-          const double* bp = bpack.data() + jb * kc;
+          const double* bp = bpack + jb * kc;
           for (int64_t k = 0; k < kc; ++k) {
             for (int64_t r = 0; r < kMr; ++r) {
               const double av = ap[k * kMr + r];

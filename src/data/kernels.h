@@ -55,7 +55,9 @@ namespace blocked {
 /// KC x NR slabs, A into KC x MR slabs, and an MR x NR register-tile
 /// micro-kernel accumulates in registers across each K panel.
 /// Summation order differs from naive::Multiply, so results agree to
-/// rounding (not bit-exactly).
+/// rounding (not bit-exactly). The packed panels live in a per-thread
+/// workspace that persists between calls (up to ~4 MiB plus
+/// rows x 2 KiB per thread); results never depend on its history.
 Result<Matrix> Multiply(const Matrix& a, const Matrix& b);
 
 /// C = A + B with an unrolled streaming loop. Bit-identical to

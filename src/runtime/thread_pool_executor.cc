@@ -707,9 +707,10 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   };
 
   auto worker = [&](int worker_id) {
-    if (topo.num_domains() > 1) {
+    if (worker_id != 0 && topo.num_domains() > 1) {
       // Pin to the worker's NUMA domain. Best effort: an unpinnable
-      // worker is slower, never wrong.
+      // worker is slower, never wrong. Worker 0 is the calling thread,
+      // whose affinity is not the executor's to change.
       const Status ignored = hw::PinCurrentThreadToCpus(
           topo.domains[static_cast<size_t>(topo.domain_of_worker(
                            worker_id, num_workers))].cpus);
@@ -929,11 +930,15 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     }
   };
 
+  // The caller runs worker 0, so a one-thread run starts no thread
+  // and keeps the caller's thread-local state (the GEMM workspace)
+  // warm from one Execute to the next.
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
+  threads.reserve(static_cast<size_t>(num_workers - 1));
+  for (int i = 1; i < num_workers; ++i) {
     threads.emplace_back(worker, i);
   }
+  worker(0);
   for (std::thread& t : threads) t.join();
 
   if (pool.failed.load(std::memory_order_seq_cst)) return pool.failure;

@@ -25,6 +25,11 @@ namespace taskbench::runtime {
 /// single-node computation); the simulated executor reuses the same
 /// graphs to model cluster-scale behaviour.
 ///
+/// Execute runs worker 0 on the calling thread and starts
+/// `num_threads - 1` more for the run, so a one-thread run starts no
+/// thread. Spawned workers may be pinned to a NUMA domain; the caller
+/// never is.
+///
 /// Fault tolerance: a failed task attempt (kernel error, storage
 /// Get/Put failure — e.g. from a fault-injecting BlockStorage) is
 /// retried up to `options.max_retries` times with exponential

@@ -15,7 +15,36 @@ double DrawExponential(Rng* rng, double rate_hz) {
   return -std::log(1.0 - rng->NextDouble()) / rate_hz;
 }
 
+Status Invalid(const char* field, double value, const char* rule) {
+  return Status::InvalidArgument(
+      StrFormat("%s = %g: must be %s", field, value, rule));
+}
+
 }  // namespace
+
+Status ValidateArrivalOptions(const ArrivalOptions& options) {
+  if (!std::isfinite(options.rate_hz) || options.rate_hz <= 0) {
+    return Invalid("ArrivalOptions.rate_hz", options.rate_hz,
+                   "finite and > 0");
+  }
+  if (!std::isfinite(options.burst_factor) || options.burst_factor < 1) {
+    return Invalid("ArrivalOptions.burst_factor", options.burst_factor,
+                   "finite and >= 1");
+  }
+  if (!(options.burst_fraction > 0 && options.burst_fraction < 1)) {
+    return Invalid("ArrivalOptions.burst_fraction", options.burst_fraction,
+                   "in (0, 1)");
+  }
+  if (!std::isfinite(options.burst_mean_s) || options.burst_mean_s <= 0) {
+    return Invalid("ArrivalOptions.burst_mean_s", options.burst_mean_s,
+                   "finite and > 0");
+  }
+  if (!std::isfinite(options.pareto_alpha) || options.pareto_alpha <= 1) {
+    return Invalid("ArrivalOptions.pareto_alpha", options.pareto_alpha,
+                   "finite and > 1");
+  }
+  return Status::OK();
+}
 
 Result<ArrivalProcess> ParseArrivalProcess(std::string_view name) {
   if (name == "poisson") return ArrivalProcess::kPoisson;

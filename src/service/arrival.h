@@ -45,6 +45,14 @@ struct ArrivalOptions {
   double pareto_alpha = 1.5;
 };
 
+/// Validates arrival options at configuration time: rate_hz finite
+/// and > 0, burst_factor >= 1, burst_fraction in (0, 1), burst_mean_s
+/// > 0 and pareto_alpha > 1, each finite. The error names the field
+/// and its value. ArrivalGenerator still clamps what it is handed
+/// directly; callers that take options from users check them here, so
+/// a bad value fails instead of silently offering no load.
+Status ValidateArrivalOptions(const ArrivalOptions& options);
+
 /// Seeded interarrival stream: the same (options, seed) pair yields
 /// the same delay sequence on every platform — the property the
 /// reproducibility tests and the committed bench configs rely on.

@@ -1,12 +1,14 @@
 #include "service/load.h"
 
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "check/workload.h"
 #include "common/random.h"
+#include "common/strings.h"
 
 namespace taskbench::service {
 
@@ -16,6 +18,24 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
+Status ValidateTenantLoad(const TenantLoad& load) {
+  const auto check = [&]() -> Status {
+    TB_RETURN_IF_ERROR(ValidateArrivalOptions(load.arrivals));
+    if (!std::isfinite(load.deadline_s) || load.deadline_s < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "TenantLoad.deadline_s = %g: must be finite and >= 0 (0 = none)",
+          load.deadline_s));
+    }
+    if (load.cancel_every < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "TenantLoad.cancel_every = %d: must be >= 0 (0 = never)",
+          load.cancel_every));
+    }
+    return Status::OK();
+  };
+  return check().WithContext(StrFormat("tenant '%s'", load.tenant.c_str()));
+}
+
 Result<LoadStats> RunOpenLoad(WorkflowService* service,
                               const std::vector<TenantLoad>& loads,
                               double duration_s) {
@@ -24,6 +44,9 @@ Result<LoadStats> RunOpenLoad(WorkflowService* service,
   }
   if (loads.empty()) {
     return Status::InvalidArgument("RunOpenLoad needs at least one tenant");
+  }
+  for (const TenantLoad& load : loads) {
+    TB_RETURN_IF_ERROR(ValidateTenantLoad(load));
   }
 
   LoadStats total;

@@ -26,6 +26,12 @@ struct TenantLoad {
   int cancel_every = 0;
 };
 
+/// Validates one tenant's load before any of it is offered: its
+/// arrival options (ValidateArrivalOptions), deadline_s finite and
+/// >= 0 (0 = no deadline) and cancel_every >= 0 (0 = never). The
+/// error names the tenant, the field and its value.
+Status ValidateTenantLoad(const TenantLoad& load);
+
 /// What the driver offered vs. what the service took, summed over
 /// tenants. Per-tenant outcome detail lives in the ServiceReport.
 struct LoadStats {
@@ -43,7 +49,9 @@ struct LoadStats {
 /// the window closes, every admitted submission is waited to a
 /// terminal state, so the service is quiescent on return and a
 /// ServiceReport taken afterwards has still_queued == 0 and
-/// still_running == 0.
+/// still_running == 0. Every load is validated first
+/// (ValidateTenantLoad); an invalid one fails the call before anything
+/// is submitted.
 Result<LoadStats> RunOpenLoad(WorkflowService* service,
                               const std::vector<TenantLoad>& loads,
                               double duration_s);

@@ -87,6 +87,24 @@ Status ValidateTenantConfig(const TenantConfig& config) {
   return Status::OK();
 }
 
+Status ValidateServiceOptions(const ServiceOptions& options) {
+  if (options.num_runners < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "ServiceOptions.num_runners = %d: must be >= 1", options.num_runners));
+  }
+  if (options.max_in_flight < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "ServiceOptions.max_in_flight = %d: must be >= 0 (0 = unlimited)",
+        options.max_in_flight));
+  }
+  if (options.max_queued < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "ServiceOptions.max_queued = %d: must be >= 0 (0 = unlimited)",
+        options.max_queued));
+  }
+  return Status::OK();
+}
+
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0;
   const double rank = std::ceil(p * static_cast<double>(sorted.size()));

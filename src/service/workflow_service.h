@@ -81,6 +81,13 @@ struct ServiceOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// Validates service options before a service is built: num_runners
+/// >= 1, max_in_flight >= 0 and max_queued >= 0 (0 = unlimited). The
+/// error names the field and its value. The constructor still runs at
+/// least one runner; callers that take options from users check here,
+/// so a bad value fails instead of being silently replaced.
+Status ValidateServiceOptions(const ServiceOptions& options);
+
 struct SubmitOptions {
   std::string tenant = "default";
   /// Higher priority dequeues first within the tenant's own queue

@@ -4,6 +4,8 @@
 // qualitative shape differences (burstiness, heavy tail).
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -132,6 +134,48 @@ TEST(ArrivalTest, DegenerateParametersAreClamped) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(std::isfinite(pareto.NextDelay()));
   }
+}
+
+// Options from users are validated, not clamped: each bad field is
+// rejected with its name, while the generator above still clamps what
+// it is handed directly.
+TEST(ArrivalTest, ValidateRejectsEachBadFieldByName) {
+  EXPECT_TRUE(ValidateArrivalOptions(ArrivalOptions{}).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    double ArrivalOptions::*member;
+    double value;
+  };
+  const Case cases[] = {
+      {"rate_hz", &ArrivalOptions::rate_hz, 0},
+      {"rate_hz", &ArrivalOptions::rate_hz, -5},
+      {"rate_hz", &ArrivalOptions::rate_hz, nan},
+      {"rate_hz", &ArrivalOptions::rate_hz, inf},
+      {"burst_factor", &ArrivalOptions::burst_factor, 0.5},
+      {"burst_factor", &ArrivalOptions::burst_factor, nan},
+      {"burst_fraction", &ArrivalOptions::burst_fraction, 0},
+      {"burst_fraction", &ArrivalOptions::burst_fraction, 1},
+      {"burst_fraction", &ArrivalOptions::burst_fraction, nan},
+      {"burst_mean_s", &ArrivalOptions::burst_mean_s, 0},
+      {"burst_mean_s", &ArrivalOptions::burst_mean_s, inf},
+      {"pareto_alpha", &ArrivalOptions::pareto_alpha, 1},
+      {"pareto_alpha", &ArrivalOptions::pareto_alpha, nan},
+  };
+  for (const Case& c : cases) {
+    ArrivalOptions options;
+    options.*c.member = c.value;
+    const Status status = ValidateArrivalOptions(options);
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.field << " = " << c.value;
+    EXPECT_NE(status.message().find(std::string("ArrivalOptions.") + c.field),
+              std::string::npos)
+        << status.ToString();
+  }
+  ArrivalOptions edge;
+  edge.burst_factor = 1;  // bursts no denser than calm: plain Poisson
+  edge.rate_hz = 1e-3;
+  EXPECT_TRUE(ValidateArrivalOptions(edge).ok());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "data/kernels.h"
 
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +48,82 @@ TEST(KernelsTest, BlockedMultiplyMatchesNaiveAcrossShapes) {
     // rounding error (k accumulations of O(1) terms).
     EXPECT_LT(reference->MaxAbsDiff(*fast), 1e-10)
         << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+// blocked::Multiply run on a thread of its own, whose GEMM workspace
+// starts empty: the panels are sized exactly for this one call.
+Matrix MultiplyOnFreshThread(const Matrix& a, const Matrix& b) {
+  Matrix product;
+  std::thread([&] {
+    auto c = blocked::Multiply(a, b);
+    if (c.ok()) product = std::move(*c);
+  }).join();
+  return product;
+}
+
+bool SameBytes(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.size()) * sizeof(double)) == 0;
+}
+
+// The workspace a thread keeps between calls holds stale panels from
+// larger products; packing must overwrite every slot it later reads,
+// so each result is byte-identical to a call on a cold thread.
+TEST(KernelsTest, WorkspaceReuseChangesNoResult) {
+  const std::vector<MatmulShape> sequence = {
+      {300, 257, 2100},  // crosses both KC and NC
+      {5, 3, 17},        // ragged i and j edges, padded B slab
+      {1, 1, 1},
+      {192, 192, 192},
+      {5, 3, 17},        // again, now after the larger panels
+  };
+  for (const MatmulShape& s : sequence) {
+    const Matrix a = RandomMatrix(s.m, s.k, 3000 + s.m);
+    const Matrix b = RandomMatrix(s.k, s.n, 4000 + s.n);
+    auto warm = blocked::Multiply(a, b);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_TRUE(SameBytes(*warm, MultiplyOnFreshThread(a, b)))
+        << s.m << "x" << s.k << "x" << s.n;
+    auto reference = naive::Multiply(a, b);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_LT(reference->MaxAbsDiff(*warm), 1e-10)
+        << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+// Workspaces are per thread: four threads cycling through mixed shapes
+// (each from a different starting shape, so their panel histories
+// differ) all reproduce the single-thread bytes.
+TEST(KernelsTest, ConcurrentThreadsMatchSingleThreadBytes) {
+  std::vector<MatmulShape> shapes = kMatmulShapes;
+  shapes.push_back({4, 260, 2100});
+  shapes.push_back({192, 192, 192});
+  std::vector<Matrix> as, bs, expected;
+  for (const MatmulShape& s : shapes) {
+    as.push_back(RandomMatrix(s.m, s.k, 5000 + s.m));
+    bs.push_back(RandomMatrix(s.k, s.n, 6000 + s.n));
+    auto c = blocked::Multiply(as.back(), bs.back());
+    ASSERT_TRUE(c.ok());
+    expected.push_back(std::move(*c));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t step = 0; step < kRounds * shapes.size(); ++step) {
+        const size_t i = (step + static_cast<size_t>(t) * 5) % shapes.size();
+        auto c = blocked::Multiply(as[i], bs[i]);
+        if (!c.ok() || !SameBytes(*c, expected[i])) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 

@@ -22,6 +22,7 @@
 #include "runtime/executor_factory.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/thread_pool_executor.h"
+#include "service/load.h"
 #include "service/token_bucket.h"
 #include "service/workflow_service.h"
 
@@ -572,6 +573,84 @@ TEST(TenantConfigTest, ValidateRejectsNegativeAndNaNRateKnobs) {
   config = TenantConfig{};
   config.max_queued = -1;
   EXPECT_FALSE(ValidateTenantConfig(config).ok());
+}
+
+TEST(ServiceOptionsTest, ValidateRejectsEachBadFieldByName) {
+  EXPECT_TRUE(ValidateServiceOptions(ServiceOptions{}).ok());
+  struct Case {
+    const char* field;
+    int ServiceOptions::*member;
+    int value;
+  };
+  const Case cases[] = {
+      {"num_runners", &ServiceOptions::num_runners, 0},
+      {"num_runners", &ServiceOptions::num_runners, -3},
+      {"max_in_flight", &ServiceOptions::max_in_flight, -1},
+      {"max_queued", &ServiceOptions::max_queued, -1},
+  };
+  for (const Case& c : cases) {
+    ServiceOptions options;
+    options.*c.member = c.value;
+    const Status status = ValidateServiceOptions(options);
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.field << " = " << c.value;
+    EXPECT_NE(status.message().find(std::string("ServiceOptions.") + c.field),
+              std::string::npos)
+        << status.ToString();
+  }
+  ServiceOptions edge;  // 0 caps mean unlimited
+  edge.num_runners = 1;
+  edge.max_in_flight = 0;
+  edge.max_queued = 0;
+  EXPECT_TRUE(ValidateServiceOptions(edge).ok());
+}
+
+TEST(TenantLoadTest, ValidateRejectsEachBadFieldByName) {
+  EXPECT_TRUE(ValidateTenantLoad(TenantLoad{}).ok());
+  struct Case {
+    const char* field;
+    void (*set)(TenantLoad&);
+  };
+  const Case cases[] = {
+      {"ArrivalOptions.rate_hz", [](TenantLoad& l) { l.arrivals.rate_hz = 0; }},
+      {"ArrivalOptions.pareto_alpha",
+       [](TenantLoad& l) { l.arrivals.pareto_alpha = 0.5; }},
+      {"TenantLoad.deadline_s", [](TenantLoad& l) { l.deadline_s = -2; }},
+      {"TenantLoad.deadline_s",
+       [](TenantLoad& l) {
+         l.deadline_s = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"TenantLoad.cancel_every", [](TenantLoad& l) { l.cancel_every = -1; }},
+  };
+  for (const Case& c : cases) {
+    TenantLoad load;
+    load.tenant = "acme";
+    c.set(load);
+    const Status status = ValidateTenantLoad(load);
+    EXPECT_TRUE(status.IsInvalidArgument()) << c.field;
+    EXPECT_NE(status.message().find(c.field), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("acme"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(WorkflowServiceTest, OpenLoadRejectsBadLoadBeforeSubmitting) {
+  // A zero rate once ran as "no arrivals" and reported success; now
+  // the whole call fails up front, even for the well-formed tenant.
+  ServiceOptions options;
+  options.num_runners = 1;
+  WorkflowService service(SimExecutor(), options);
+  std::vector<TenantLoad> loads(2);
+  loads[0].tenant = "fine";
+  loads[1].tenant = "idle";
+  loads[1].arrivals.rate_hz = 0;
+  const Result<LoadStats> stats = RunOpenLoad(&service, loads, 0.2);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsInvalidArgument()) << stats.status().ToString();
+  service.Shutdown();
+  const ServiceReport report = service.Report();
+  EXPECT_EQ(report.submitted, 0);
+  EXPECT_EQ(report.rejected, 0);
 }
 
 TEST(WorkflowServiceTest, MisconfiguredTenantFailsSubmitNotClamped) {

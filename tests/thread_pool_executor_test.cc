@@ -1,6 +1,14 @@
 #include "runtime/thread_pool_executor.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +204,110 @@ INSTANTIATE_TEST_SUITE_P(StorageModes, ThreadPoolExecutorModes,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "WithStorage" : "InMemory";
                          });
+
+// Threads in this process per /proc/self/task; -1 without procfs.
+int TaskCount() {
+  std::error_code ec;
+  int n = 0;
+  for (auto it = std::filesystem::directory_iterator("/proc/self/task", ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
+// TaskCount once it has held still for 10 reads: a thread joined just
+// before (by an earlier test) can stay listed for a moment.
+int SettledTaskCount() {
+  int n = TaskCount();
+  for (int stable = 0, tries = 0; stable < 10 && tries < 1000; ++tries) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    const int again = TaskCount();
+    stable = again == n ? stable + 1 : 0;
+    n = again;
+  }
+  return n;
+}
+
+// Records, per task, the thread that ran the kernel and the process's
+// thread count at that moment, then adds one like AddOneKernel.
+struct KernelProbe {
+  std::mutex mu;
+  std::vector<std::thread::id> ids;
+  int max_tasks = 0;
+
+  KernelFn Kernel() {
+    return [this](const std::vector<const data::Matrix*>& inputs,
+                  const std::vector<data::Matrix*>& outputs) -> Status {
+      const int tasks = TaskCount();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.push_back(std::this_thread::get_id());
+        max_tasks = std::max(max_tasks, tasks);
+      }
+      return AddOneKernel()(inputs, outputs);
+    };
+  }
+};
+
+// A wide graph of `width` independent tasks (in -> out_i = in + 1).
+std::vector<DataId> WideAddOne(TaskGraph& graph, int width, KernelFn kernel) {
+  const DataId in = graph.AddData(data::Matrix(2, 2, 5.0));
+  std::vector<DataId> outs;
+  for (int i = 0; i < width; ++i) {
+    const DataId out = graph.AddData(static_cast<uint64_t>(32));
+    EXPECT_TRUE(graph.Submit(SimpleTask(in, out, kernel)).ok());
+    outs.push_back(out);
+  }
+  return outs;
+}
+
+// Worker 0 is the calling thread: a one-thread run starts no thread,
+// and every kernel runs on the caller.
+TEST_P(ThreadPoolExecutorModes, OneThreadRunsOnTheCaller) {
+  const int before = SettledTaskCount();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+  TaskGraph graph;
+  KernelProbe probe;
+  const std::vector<DataId> outs = WideAddOne(graph, 8, probe.Kernel());
+  ThreadPoolExecutor executor = MakeExecutor(1);
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(probe.ids.size(), outs.size());
+  for (const std::thread::id& id : probe.ids) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(probe.max_tasks, before);
+  for (DataId out : outs) {
+    auto value = executor.FetchData(graph, out);
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(value->At(1, 1), 6.0);
+  }
+}
+
+// W workers add at most W - 1 threads, and the caller's CPU affinity
+// is left as it was (only spawned workers are ever pinned).
+TEST_P(ThreadPoolExecutorModes, FourThreadsAddAtMostThree) {
+  const int before = SettledTaskCount();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+  cpu_set_t mask_before;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask_before), &mask_before), 0);
+  TaskGraph graph;
+  KernelProbe probe;
+  const std::vector<DataId> outs = WideAddOne(graph, 32, probe.Kernel());
+  ThreadPoolExecutor executor = MakeExecutor(4);
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_LE(probe.max_tasks, before + 3);
+  cpu_set_t mask_after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask_after), &mask_after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&mask_before, &mask_after));
+  for (DataId out : outs) {
+    auto value = executor.FetchData(graph, out);
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(value->At(0, 0), 6.0);
+  }
+}
 
 TEST(ThreadPoolExecutorTest, ManyThreadsManyTasksStress) {
   TaskGraph graph;

@@ -18,6 +18,9 @@
 //                --max-in-flight=N --max-queued=N (admission caps)
 //                --deadline=S --cancel-every=N (tenant 0 cancels
 //                  every Nth of its own submissions)
+//              A bad value (rate or skew <= 0, runners outside
+//              1..256, a negative cap, deadline or cancel-every)
+//              fails before any load is offered.
 //   import     Import a WfFormat (WfCommons) workflow instance, print
 //              its structure, and run it. Options:
 //                --executor=sim|threads|procs  (default sim: the
@@ -496,19 +499,34 @@ int CmdServe(const tb::Args& args) {
   if (*tenants_or < 1 || *tenants_or > 64) {
     return Fail("--tenants expects 1..64");
   }
+  if (*runners_or < 1 || *runners_or > 256) {
+    return Fail("--runners expects 1..256");
+  }
   if (*duration_or <= 0) return Fail("--duration must be positive");
+  if (*skew_or <= 0) {
+    return Fail(tb::StrFormat("--skew = %g: must be > 0", *skew_or));
+  }
+  // These land in int fields: a value that does not fit would wrap
+  // into a different cap or period instead of failing.
+  for (const auto& [flag, value] : {std::pair{"--max-in-flight", *in_flight_or},
+                                    std::pair{"--max-queued", *max_queued_or},
+                                    std::pair{"--cancel-every", *cancel_or}}) {
+    if (static_cast<int>(value) != value) {
+      return Fail(tb::StrFormat("%s = %lld: out of range", flag,
+                                static_cast<long long>(value)));
+    }
+  }
 
-  tb::runtime::ExecutorSpec spec;
-  spec.kind = *kind;
-  auto executor_or = tb::runtime::MakeExecutor(spec);
-  if (!executor_or.ok()) return Fail(executor_or.status().ToString());
-  std::shared_ptr<tb::runtime::Executor> executor = std::move(*executor_or);
-
+  // Every knob is checked before the service starts: a bad rate, skew
+  // or cap would otherwise run with no load (or a silently replaced
+  // value) and still exit 0.
   tb::service::ServiceOptions service_options;
   service_options.num_runners = static_cast<int>(*runners_or);
   service_options.max_in_flight = static_cast<int>(*in_flight_or);
   service_options.max_queued = static_cast<int>(*max_queued_or);
-  tb::service::WorkflowService service(executor, service_options);
+  const tb::Status options_status =
+      tb::service::ValidateServiceOptions(service_options);
+  if (!options_status.ok()) return Fail(options_status.ToString());
 
   std::vector<tb::service::TenantLoad> loads;
   for (int64_t i = 0; i < *tenants_or; ++i) {
@@ -520,8 +538,17 @@ int CmdServe(const tb::Args& args) {
                 static_cast<uint64_t>(i);
     load.deadline_s = *deadline_or;
     if (i == 0) load.cancel_every = static_cast<int>(*cancel_or);
+    const tb::Status load_status = tb::service::ValidateTenantLoad(load);
+    if (!load_status.ok()) return Fail(load_status.ToString());
     loads.push_back(std::move(load));
   }
+
+  tb::runtime::ExecutorSpec spec;
+  spec.kind = *kind;
+  auto executor_or = tb::runtime::MakeExecutor(spec);
+  if (!executor_or.ok()) return Fail(executor_or.status().ToString());
+  std::shared_ptr<tb::runtime::Executor> executor = std::move(*executor_or);
+  tb::service::WorkflowService service(executor, service_options);
 
   std::fprintf(stderr,
                "serve: %s executor, %d runners, %lld tenants, base rate "
