@@ -37,7 +37,7 @@ enum class AttemptOutcome : uint8_t {
   kCompleted,       ///< ran to completion
   kNodeLost,        ///< killed mid-flight by a node crash
   kDeviceLost,      ///< killed mid-flight by a GPU loss
-  kStorageFault,    ///< a storage Get/Put failed transiently
+  kStorageFault,    ///< a storage read or write failed transiently
   kFailed,          ///< non-recoverable failure (retries exhausted)
   kHedgeCancelled,  ///< speculative duplicate cancelled — its twin won
 };

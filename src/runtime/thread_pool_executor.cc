@@ -84,6 +84,27 @@ StageHists ResolveStageHists(obs::MetricsRegistry* registry,
   return h;
 }
 
+/// Serializes `m` straight into the store's slot for `key`: one pass.
+Status WriteBlock(storage::BlockStorage& store, const std::string& key,
+                  const data::Matrix& m) {
+  return store.Write(key, storage::Serializer::SerializedSize(m),
+                     [&m](uint8_t* out) {
+                       storage::Serializer::SerializeTo(m, out);
+                     });
+}
+
+/// Deserializes the block under `key` straight from the stored bytes:
+/// one pass, verifying the checksum while it copies.
+Result<data::Matrix> ReadBlock(const storage::BlockStorage& store,
+                               const std::string& key) {
+  Result<data::Matrix> m = data::Matrix();
+  TB_RETURN_IF_ERROR(store.Read(key, [&m](const uint8_t* bytes, size_t size) {
+    m = storage::Serializer::Deserialize(bytes, size);
+    return m.status();
+  }));
+  return m;
+}
+
 }  // namespace
 
 ThreadPoolExecutor::ThreadPoolExecutor(
@@ -232,20 +253,15 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       options_.use_storage && ctx.scope != 0 ? store_.get() : nullptr, &keys};
 
   // Stage the initial values: into storage (serialized) or the
-  // memory-mode store. One scratch buffer serves every staging Put.
-  {
-    std::vector<uint8_t> scratch;
-    for (DataId d = 0; d < graph.num_data(); ++d) {
-      DataEntry& entry = graph.mutable_data(d);
-      if (!entry.value.has_value()) continue;
-      if (options_.use_storage) {
-        scratch.clear();
-        storage::Serializer::Serialize(*entry.value, &scratch);
-        TB_RETURN_IF_ERROR(store_->Put(keys[static_cast<size_t>(d)],
-                                       scratch.data(), scratch.size()));
-      } else {
-        values.Put(d, std::make_shared<data::Matrix>(*entry.value));
-      }
+  // memory-mode store.
+  for (DataId d = 0; d < graph.num_data(); ++d) {
+    DataEntry& entry = graph.mutable_data(d);
+    if (!entry.value.has_value()) continue;
+    if (options_.use_storage) {
+      TB_RETURN_IF_ERROR(
+          WriteBlock(*store_, keys[static_cast<size_t>(d)], *entry.value));
+    } else {
+      values.Put(d, std::make_shared<data::Matrix>(*entry.value));
     }
   }
 
@@ -385,13 +401,10 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  // Per-worker context: deque identity plus reusable serialization
-  // scratch (steady-state storage traffic allocates nothing) and the
-  // worker's private block cache, when enabled.
+  // Per-worker context: deque identity and the worker's private block
+  // cache, when enabled.
   struct WorkerContext {
     int id = 0;
-    std::vector<uint8_t> read_scratch;
-    std::vector<uint8_t> write_scratch;
     storage::BlockCache* cache = nullptr;
   };
 
@@ -412,17 +425,13 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     return Status::OK();
   };
 
-  // Private deserialization of `d` from the store into the worker's
-  // pooled read buffer — the uncached storage read path.
-  auto read_from_store = [&](WorkerContext& ctx, DataId d,
+  // Private deserialization of `d` straight from the stored bytes —
+  // the uncached storage read path.
+  auto read_from_store = [&](DataId d,
                              double* deser_seconds) -> Result<data::Matrix> {
     const double t0 = SecondsSince(origin);
-    TB_RETURN_IF_ERROR(
-        store_->GetInto(keys[static_cast<size_t>(d)], &ctx.read_scratch));
-    TB_ASSIGN_OR_RETURN(
-        data::Matrix m,
-        storage::Serializer::Deserialize(ctx.read_scratch.data(),
-                                         ctx.read_scratch.size()));
+    TB_ASSIGN_OR_RETURN(data::Matrix m,
+                        ReadBlock(*store_, keys[static_cast<size_t>(d)]));
     *deser_seconds += SecondsSince(origin) - t0;
     return m;
   };
@@ -430,9 +439,9 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // Shared ownership of the current value of `d` at `version`, timing
   // the deserialization. In memory mode the critical section is one
   // stripe lock and a refcount bump; no block is ever copied under a
-  // lock. Storage mode deserializes from the worker's pooled read
-  // buffer — through the worker's block cache when enabled, where a
-  // warm read is a hash lookup and a refcount bump instead. The wire
+  // lock. Storage mode deserializes straight from the stored bytes —
+  // through the worker's block cache when enabled, where a warm read
+  // is a hash lookup and a refcount bump instead. The wire
   // format is lossless, so a cached block is bit-identical to a fresh
   // deserialize and results cannot depend on the hit pattern.
   auto read_shared = [&](WorkerContext& ctx, DataId d, uint64_t version,
@@ -446,12 +455,12 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
           return hit;
         }
         TB_ASSIGN_OR_RETURN(data::Matrix m,
-                            read_from_store(ctx, d, deser_seconds));
+                            read_from_store(d, deser_seconds));
         return ctx.cache->Put(static_cast<uint64_t>(d), version,
                               std::move(m));
       }
       TB_ASSIGN_OR_RETURN(data::Matrix m,
-                          read_from_store(ctx, d, deser_seconds));
+                          read_from_store(d, deser_seconds));
       return std::make_shared<const data::Matrix>(std::move(m));
     }
     std::shared_ptr<data::Matrix> value = values.Get(d);
@@ -480,7 +489,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       // Miss: private copy straight from the store. Not inserted —
       // this reader is about to overwrite `d`, so the entry would be
       // stale before anyone could hit it.
-      return read_from_store(ctx, d, deser_seconds);
+      return read_from_store(d, deser_seconds);
     }
     TB_ASSIGN_OR_RETURN(const std::shared_ptr<const data::Matrix> value,
                         read_shared(ctx, d, version, deser_seconds));
@@ -491,17 +500,14 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
                          data::Matrix value, double* ser_seconds) -> Status {
     if (options_.use_storage) {
       const double t0 = SecondsSince(origin);
-      ctx.write_scratch.clear();
-      storage::Serializer::Serialize(value, &ctx.write_scratch);
-      TB_RETURN_IF_ERROR(store_->Put(keys[static_cast<size_t>(d)],
-                                     ctx.write_scratch.data(),
-                                     ctx.write_scratch.size()));
+      TB_RETURN_IF_ERROR(
+          WriteBlock(*store_, keys[static_cast<size_t>(d)], value));
       *ser_seconds += SecondsSince(origin) - t0;
       // Write-through at the writer's ordinal: successors reading
       // this version hit without touching the serializer (free when
       // they run on this worker, one miss each elsewhere). The block
       // is moved, not copied — the caller is done with it after a
-      // successful Put.
+      // successful write.
       if (ctx.cache != nullptr) {
         ctx.cache->Put(static_cast<uint64_t>(d), version, std::move(value));
       }
@@ -1002,17 +1008,12 @@ Result<data::Matrix> ThreadPoolExecutor::FetchData(const TaskGraph& graph,
             fetch_cache_->Get(static_cast<uint64_t>(id), 0)) {
       return *hit;
     }
-    TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                        store_->Get(KeyFor(0, id)));
-    TB_ASSIGN_OR_RETURN(data::Matrix m,
-                        storage::Serializer::Deserialize(bytes));
+    TB_ASSIGN_OR_RETURN(data::Matrix m, ReadBlock(*store_, KeyFor(0, id)));
     storage::BlockCache::ValuePtr cached =
         fetch_cache_->Put(static_cast<uint64_t>(id), 0, std::move(m));
     return *cached;
   }
-  TB_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                      store_->Get(KeyFor(0, id)));
-  return storage::Serializer::Deserialize(bytes);
+  return ReadBlock(*store_, KeyFor(0, id));
 }
 
 }  // namespace taskbench::runtime

@@ -31,7 +31,7 @@ namespace taskbench::runtime {
 /// never is.
 ///
 /// Fault tolerance: a failed task attempt (kernel error, storage
-/// Get/Put failure — e.g. from a fault-injecting BlockStorage) is
+/// read or write failure — e.g. from a fault-injecting BlockStorage) is
 /// retried up to `options.max_retries` times with exponential
 /// wall-clock backoff before the run fails. The default budget of 0
 /// preserves the historic fail-fast behaviour.

@@ -27,69 +27,55 @@ size_t InMemoryStorage::DefaultShards() {
 
 InMemoryStorage::InMemoryStorage() : shards_(DefaultShards()) {}
 
-Status BlockStorage::Put(const std::string& key, const uint8_t* data,
-                         size_t size) {
-  return Put(key, std::vector<uint8_t>(data, data + size));
+Status BlockStorage::Put(const std::string& key,
+                         const std::vector<uint8_t>& bytes) {
+  return Write(key, bytes.size(), [&bytes](uint8_t* out) {
+    std::copy(bytes.begin(), bytes.end(), out);
+  });
 }
 
-Status BlockStorage::GetInto(const std::string& key,
-                             std::vector<uint8_t>* out) const {
-  TB_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, Get(key));
-  *out = std::move(bytes);
-  return Status::OK();
+Result<std::vector<uint8_t>> BlockStorage::Get(const std::string& key) const {
+  std::vector<uint8_t> bytes;
+  TB_RETURN_IF_ERROR(Read(key, [&bytes](const uint8_t* data, size_t size) {
+    bytes.assign(data, data + size);
+    return Status::OK();
+  }));
+  return bytes;
 }
 
-Status InMemoryStorage::Put(const std::string& key,
-                            std::vector<uint8_t> bytes) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+Status InMemoryStorage::Read(const std::string& key, const ReadFn& fn) const {
+  const Shard& shard = ShardFor(key);
+  std::shared_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.objects.find(key);
-  if (it != shard.objects.end()) shard.bytes -= it->second.size();
-  shard.bytes += bytes.size();
-  shard.objects[key] = std::move(bytes);
-  return Status::OK();
+  if (it == shard.objects.end()) {
+    return Status::NotFound(StrFormat("no object under key '%s'", key.c_str()));
+  }
+  return fn(it->second.data.get(), it->second.size);
 }
 
-Status InMemoryStorage::Put(const std::string& key, const uint8_t* data,
-                            size_t size) {
+Status InMemoryStorage::Write(const std::string& key, size_t size,
+                              const FillFn& fill) {
   Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  std::vector<uint8_t>& slot = shard.objects[key];
+  std::lock_guard<std::shared_mutex> lock(shard.mu);
+  Slot& slot = shard.objects[key];
+  if (size > slot.capacity) {
+    // Not zeroed and the stale value not copied: `fill` writes it all.
+    slot.data.reset(new uint8_t[size]);
+    slot.capacity = size;
+  }
   shard.bytes += size;
-  shard.bytes -= slot.size();
-  slot.assign(data, data + size);  // reuses the old value's capacity
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> InMemoryStorage::Get(
-    const std::string& key) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.objects.find(key);
-  if (it == shard.objects.end()) {
-    return Status::NotFound(StrFormat("no object under key '%s'", key.c_str()));
-  }
-  return it->second;
-}
-
-Status InMemoryStorage::GetInto(const std::string& key,
-                                std::vector<uint8_t>* out) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.objects.find(key);
-  if (it == shard.objects.end()) {
-    return Status::NotFound(StrFormat("no object under key '%s'", key.c_str()));
-  }
-  out->assign(it->second.begin(), it->second.end());
+  shard.bytes -= slot.size;
+  slot.size = size;
+  fill(slot.data.get());
   return Status::OK();
 }
 
 Status InMemoryStorage::Delete(const std::string& key) {
   Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::shared_mutex> lock(shard.mu);
   auto it = shard.objects.find(key);
   if (it != shard.objects.end()) {
-    shard.bytes -= it->second.size();
+    shard.bytes -= it->second.size;
     shard.objects.erase(it);
   }
   return Status::OK();
@@ -97,14 +83,14 @@ Status InMemoryStorage::Delete(const std::string& key) {
 
 bool InMemoryStorage::Contains(const std::string& key) const {
   const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::shared_lock<std::shared_mutex> lock(shard.mu);
   return shard.objects.count(key) > 0;
 }
 
 size_t InMemoryStorage::Size() const {
   size_t count = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
     count += shard.objects.size();
   }
   return count;
@@ -113,7 +99,7 @@ size_t InMemoryStorage::Size() const {
 uint64_t InMemoryStorage::TotalBytes() const {
   uint64_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
     total += shard.bytes;
   }
   return total;
@@ -146,34 +132,7 @@ std::string FileStorage::PathFor(const std::string& key) const {
   return root_dir_ + "/" + safe + ".blk";
 }
 
-Status FileStorage::Put(const std::string& key, std::vector<uint8_t> bytes) {
-  return Put(key, bytes.data(), bytes.size());
-}
-
-Status FileStorage::Put(const std::string& key, const uint8_t* data,
-                        size_t size) {
-  const std::string path = PathFor(key);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal(StrFormat("cannot open '%s' for write",
-                                      path.c_str()));
-  }
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  if (!out) {
-    return Status::Internal(StrFormat("short write to '%s'", path.c_str()));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> FileStorage::Get(const std::string& key) const {
-  std::vector<uint8_t> bytes;
-  TB_RETURN_IF_ERROR(GetInto(key, &bytes));
-  return bytes;
-}
-
-Status FileStorage::GetInto(const std::string& key,
-                            std::vector<uint8_t>* out) const {
+Status FileStorage::Read(const std::string& key, const ReadFn& fn) const {
   const std::string path = PathFor(key);
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
@@ -181,10 +140,28 @@ Status FileStorage::GetInto(const std::string& key,
   }
   const std::streamsize size = in.tellg();
   in.seekg(0);
-  out->resize(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(out->data()), size);
+  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
   if (!in) {
     return Status::Internal(StrFormat("short read from '%s'", path.c_str()));
+  }
+  return fn(bytes.data(), bytes.size());
+}
+
+Status FileStorage::Write(const std::string& key, size_t size,
+                          const FillFn& fill) {
+  std::vector<uint8_t> bytes(size);
+  fill(bytes.data());
+  const std::string path = PathFor(key);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    return Status::Internal(StrFormat("cannot open '%s' for write",
+                                      path.c_str()));
+  }
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (!out) {
+    return Status::Internal(StrFormat("short write to '%s'", path.c_str()));
   }
   return Status::OK();
 }

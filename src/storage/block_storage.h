@@ -2,9 +2,10 @@
 #define TASKBENCH_STORAGE_BLOCK_STORAGE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -19,34 +20,37 @@ namespace taskbench::storage {
 /// reads and writes, mirroring the concurrent (de)serialization
 /// streams the paper measures.
 ///
-/// Two access styles exist for the hot paths:
-///  - the owning style (`Put(key, vector)` / `Get(key)`), which every
-///    backend must implement, and
-///  - the buffer-reusing style (`Put(key, ptr, size)` /
-///    `GetInto(key, &buf)`), which defaults to the owning style but
-///    lets backends (and callers holding pooled scratch buffers)
-///    avoid allocating a fresh byte vector per operation.
+/// Every backend implements one data pair, which hands a callback the
+/// stored bytes themselves, so the hot paths verify or serialize a
+/// block in place with no staging buffer: `Read(key, fn)` and
+/// `Write(key, size, fill)`. `Get(key)` and `Put(key, vector)` are
+/// owning conveniences built on that pair.
 class BlockStorage {
  public:
+  /// Called on the bytes stored under a key; its status is Read's.
+  using ReadFn = std::function<Status(const uint8_t* data, size_t size)>;
+  /// Called with `size` writable bytes to fill completely.
+  using FillFn = std::function<void(uint8_t* out)>;
+
   virtual ~BlockStorage() = default;
 
-  /// Stores `bytes` under `key`, replacing any previous value.
-  virtual Status Put(const std::string& key, std::vector<uint8_t> bytes) = 0;
+  /// Runs `fn` on the value under `key` and returns its status;
+  /// NotFound (and `fn` not run) when absent. `fn` may run under the
+  /// backend's lock, so it must not call back into this storage.
+  virtual Status Read(const std::string& key, const ReadFn& fn) const = 0;
 
-  /// Retrieves the value under `key`; NotFound when absent.
-  virtual Result<std::vector<uint8_t>> Get(const std::string& key) const = 0;
+  /// Stores a `size`-byte value under `key`, replacing any previous
+  /// value, whose bytes `fill` writes. `fill` may write straight into
+  /// the stored slot under the backend's lock, so it must not call
+  /// back into this storage.
+  virtual Status Write(const std::string& key, size_t size,
+                       const FillFn& fill) = 0;
 
-  /// Stores `size` bytes at `data` under `key`. The caller keeps
-  /// ownership of the buffer (it may be pooled scratch); backends
-  /// overriding this should reuse the capacity of any value already
-  /// stored under `key`. Default: copies into a vector and calls the
-  /// owning Put, so wrappers stay fault-transparent.
-  virtual Status Put(const std::string& key, const uint8_t* data, size_t size);
+  /// Stores `bytes` under `key` (one Write).
+  Status Put(const std::string& key, const std::vector<uint8_t>& bytes);
 
-  /// Reads the value under `key` into `*out`, reusing its capacity.
-  /// NotFound when absent. Default: calls the owning Get and moves.
-  virtual Status GetInto(const std::string& key,
-                         std::vector<uint8_t>* out) const;
+  /// A copy of the value under `key` (one Read); NotFound when absent.
+  Result<std::vector<uint8_t>> Get(const std::string& key) const;
 
   /// Removes `key`. OK even when absent (idempotent).
   virtual Status Delete(const std::string& key) = 0;
@@ -64,11 +68,13 @@ class BlockStorage {
 /// Heap-backed storage. Used as the "memory" storage device and as the
 /// backing for unit tests.
 ///
-/// Sharded: keys hash onto independent (map, mutex) pairs so
-/// concurrent Put/Get streams from the thread-pool workers contend
-/// only when they land on the same stripe, not on one global lock.
-/// The shard count derives from the detected core count, so wider
-/// hosts automatically get wider striping.
+/// Sharded: keys hash onto independent (map, lock) pairs so concurrent
+/// streams from the thread-pool workers contend only when they land on
+/// the same stripe, not on one global lock. Reads share their stripe's
+/// lock, so workers deserializing one shared input do not queue on each
+/// other; a write or delete holds it alone. The shard count derives
+/// from the detected core count, so wider hosts automatically get
+/// wider striping.
 class InMemoryStorage final : public BlockStorage {
  public:
   InMemoryStorage();
@@ -79,21 +85,29 @@ class InMemoryStorage final : public BlockStorage {
   /// small hosts behave exactly as before).
   static size_t DefaultShards();
 
-  Status Put(const std::string& key, std::vector<uint8_t> bytes) override;
-  Result<std::vector<uint8_t>> Get(const std::string& key) const override;
-  Status Put(const std::string& key, const uint8_t* data,
-             size_t size) override;
-  Status GetInto(const std::string& key,
-                 std::vector<uint8_t>* out) const override;
+  /// `fn` runs on the stored bytes under the key's shard lock, shared
+  /// with other readers.
+  Status Read(const std::string& key, const ReadFn& fn) const override;
+  /// `fill` writes the key's slot in place under its shard lock, held
+  /// alone. The slot keeps its capacity, so rewriting a block allocates
+  /// nothing; a new or larger slot is allocated uninitialised, so
+  /// `fill` is the only pass over its bytes.
+  Status Write(const std::string& key, size_t size,
+               const FillFn& fill) override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
   size_t Size() const override;
   uint64_t TotalBytes() const override;
 
  private:
+  struct Slot {
+    std::unique_ptr<uint8_t[]> data;
+    size_t size = 0;
+    size_t capacity = 0;
+  };
   struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, std::vector<uint8_t>> objects;
+    mutable std::shared_mutex mu;
+    std::map<std::string, Slot> objects;
     uint64_t bytes = 0;
   };
 
@@ -113,12 +127,11 @@ class FileStorage final : public BlockStorage {
   /// Creates (or reuses) `root_dir` as the storage directory.
   static Result<std::unique_ptr<FileStorage>> Open(const std::string& root_dir);
 
-  Status Put(const std::string& key, std::vector<uint8_t> bytes) override;
-  Result<std::vector<uint8_t>> Get(const std::string& key) const override;
-  Status Put(const std::string& key, const uint8_t* data,
-             size_t size) override;
-  Status GetInto(const std::string& key,
-                 std::vector<uint8_t>* out) const override;
+  /// Reads the file, then runs `fn` on the copy.
+  Status Read(const std::string& key, const ReadFn& fn) const override;
+  /// Fills a buffer, then writes it as the file.
+  Status Write(const std::string& key, size_t size,
+               const FillFn& fill) override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
   size_t Size() const override;

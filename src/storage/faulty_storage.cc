@@ -1,6 +1,6 @@
 #include "storage/faulty_storage.h"
 
-#include <utility>
+#include <vector>
 
 namespace taskbench::storage {
 
@@ -15,44 +15,24 @@ bool DrawFault(std::atomic<int>& ops_until_failure,
 
 }  // namespace
 
-Status FaultyStorage::Put(const std::string& key,
-                          std::vector<uint8_t> bytes) {
+Status FaultyStorage::Write(const std::string& key, size_t size,
+                            const FillFn& fill) {
   if (DrawFault(ops_until_put_failure, put_failures_remaining)) {
     return Status::Internal("injected put failure");
   }
-  return inner_->Put(key, std::move(bytes));
+  return inner_->Write(key, size, fill);
 }
 
-Status FaultyStorage::Put(const std::string& key, const uint8_t* data,
-                          size_t size) {
-  if (DrawFault(ops_until_put_failure, put_failures_remaining)) {
-    return Status::Internal("injected put failure");
-  }
-  return inner_->Put(key, data, size);
-}
-
-Result<std::vector<uint8_t>> FaultyStorage::Get(
-    const std::string& key) const {
+Status FaultyStorage::Read(const std::string& key, const ReadFn& fn) const {
   if (DrawFault(ops_until_get_failure, get_failures_remaining)) {
     return Status::Internal("injected get failure");
   }
-  auto bytes = inner_->Get(key);
-  if (bytes.ok() && corrupt_reads.load() && !bytes->empty()) {
-    (*bytes)[bytes->size() / 2] ^= 0xff;
-  }
-  return bytes;
-}
-
-Status FaultyStorage::GetInto(const std::string& key,
-                              std::vector<uint8_t>* out) const {
-  if (DrawFault(ops_until_get_failure, get_failures_remaining)) {
-    return Status::Internal("injected get failure");
-  }
-  TB_RETURN_IF_ERROR(inner_->GetInto(key, out));
-  if (corrupt_reads.load() && !out->empty()) {
-    (*out)[out->size() / 2] ^= 0xff;
-  }
-  return Status::OK();
+  if (!corrupt_reads.load()) return inner_->Read(key, fn);
+  return inner_->Read(key, [&fn](const uint8_t* data, size_t size) {
+    std::vector<uint8_t> copy(data, data + size);
+    if (!copy.empty()) copy[copy.size() / 2] ^= 0xff;
+    return fn(copy.data(), copy.size());
+  });
 }
 
 Status FaultyStorage::Delete(const std::string& key) {

@@ -23,7 +23,7 @@ class FaultyStorage final : public BlockStorage {
   explicit FaultyStorage(std::shared_ptr<BlockStorage> inner)
       : inner_(std::move(inner)) {}
 
-  // mutable: Get() is const in the interface but consumes fault
+  // mutable: Read() is const in the interface but consumes fault
   // budget.
   mutable std::atomic<int> ops_until_put_failure{1 << 30};
   mutable std::atomic<int> ops_until_get_failure{1 << 30};
@@ -34,15 +34,13 @@ class FaultyStorage final : public BlockStorage {
   mutable std::atomic<int> get_failures_remaining{1 << 30};
   std::atomic<bool> corrupt_reads{false};
 
-  Status Put(const std::string& key, std::vector<uint8_t> bytes) override;
-  Result<std::vector<uint8_t>> Get(const std::string& key) const override;
-  // Fast paths forward to the inner backend's fast paths; one call
-  // consumes exactly one op of fault budget, same as the owning
-  // style, so retry tests behave identically through either API.
-  Status Put(const std::string& key, const uint8_t* data,
-             size_t size) override;
-  Status GetInto(const std::string& key,
-                 std::vector<uint8_t>* out) const override;
+  // Read and Write forward to the inner backend's; each call consumes
+  // exactly one op of fault budget, and so does each Get or Put built
+  // on them. A corrupting Read hands `fn` a private, corrupted copy:
+  // the stored bytes stay intact.
+  Status Read(const std::string& key, const ReadFn& fn) const override;
+  Status Write(const std::string& key, size_t size,
+               const FillFn& fill) override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
   size_t Size() const override;

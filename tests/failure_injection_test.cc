@@ -11,6 +11,7 @@
 #include "runtime/thread_pool_executor.h"
 #include "storage/block_storage.h"
 #include "storage/faulty_storage.h"
+#include "storage/serializer.h"
 
 namespace taskbench::runtime {
 namespace {
@@ -80,6 +81,54 @@ TEST(FailureInjectionTest, CorruptedBlocksDetectedByChecksum) {
   // The serializer's CRC turns silent corruption into a loud error.
   EXPECT_TRUE(report.status().IsInvalidArgument());
   EXPECT_NE(report.status().message().find("checksum"), std::string::npos);
+}
+
+TEST(FailureInjectionTest, EachReadOrWriteDrawsOneBudgetUnit) {
+  // The fuzzer's faulty-store legs count operations, so every access
+  // style must draw exactly one unit, hit or miss.
+  auto faulty = std::make_shared<FaultyStorage>(
+      std::make_shared<storage::InMemoryStorage>());
+  faulty->ops_until_put_failure = 2;
+  faulty->ops_until_get_failure = 2;
+  auto fill = [](uint8_t* out) { out[0] = 7; };
+  auto read = [](const uint8_t*, size_t) { return Status::OK(); };
+  ASSERT_TRUE(faulty->Write("a", 1, fill).ok());
+  EXPECT_EQ(faulty->ops_until_put_failure.load(), 1);
+  ASSERT_TRUE(faulty->Write("b", 1, fill).ok());
+  EXPECT_EQ(faulty->ops_until_put_failure.load(), 0);
+  const Status put = faulty->Write("c", 1, fill);
+  EXPECT_EQ(put.message(), "injected put failure");
+  EXPECT_FALSE(faulty->Contains("c"));
+
+  ASSERT_TRUE(faulty->Read("a", read).ok());
+  EXPECT_EQ(faulty->ops_until_get_failure.load(), 1);
+  EXPECT_TRUE(faulty->Read("absent", read).IsNotFound());
+  EXPECT_EQ(faulty->ops_until_get_failure.load(), 0);
+  const Status get = faulty->Read("a", read);
+  EXPECT_EQ(get.message(), "injected get failure");
+}
+
+TEST(FailureInjectionTest, CorruptReadsFailDeserializeByChecksum) {
+  auto faulty = std::make_shared<FaultyStorage>(
+      std::make_shared<storage::InMemoryStorage>());
+  const data::Matrix block(16, 16, 0.5);
+  ASSERT_TRUE(faulty
+                  ->Write("k", storage::Serializer::SerializedSize(block),
+                          [&block](uint8_t* out) {
+                            storage::Serializer::SerializeTo(block, out);
+                          })
+                  .ok());
+  auto deserialize = [](const uint8_t* data, size_t size) {
+    return storage::Serializer::Deserialize(data, size).status();
+  };
+  faulty->corrupt_reads = true;
+  const Status corrupt = faulty->Read("k", deserialize);
+  EXPECT_TRUE(corrupt.IsInvalidArgument());
+  EXPECT_NE(corrupt.message().find("checksum"), std::string::npos);
+  // The corruption is the reader's private copy: the stored block is
+  // intact.
+  faulty->corrupt_reads = false;
+  EXPECT_TRUE(faulty->Read("k", deserialize).ok());
 }
 
 TEST(FailureInjectionTest, RetriesRecoverFromTransientGetFaults) {

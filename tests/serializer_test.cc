@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/random.h"
@@ -41,6 +44,35 @@ data::Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Rng rng(seed);
   data::FillUniform(&m, &rng);
   return m;
+}
+
+// The CRC of `data` by every path the serializer has: slice-by-16 on
+// its own, the path the CPU picks, and the fused copy, whose copied
+// bytes (stored one byte off alignment) must equal the input and stay
+// inside the destination.
+constexpr std::array<const char*, 3> kCrcPaths = {"portable", "dispatched",
+                                                  "fused copy"};
+std::array<uint32_t, 3> CrcByEveryPath(const uint8_t* data, size_t size) {
+  std::vector<uint8_t> dst(size + 2, 0xa5);
+  const uint32_t fused = Serializer::CopyWithCrc32(dst.data() + 1, data, size);
+  EXPECT_TRUE(std::equal(data, data + size, dst.begin() + 1))
+      << "fused copy of " << size << " bytes";
+  EXPECT_TRUE(dst.front() == 0xa5 && dst.back() == 0xa5)
+      << "fused copy of " << size << " bytes wrote outside its destination";
+  return {Serializer::Crc32Portable(data, size), Serializer::Crc32(data, size),
+          fused};
+}
+
+// A bare header: magic, version, dimensions and CRC field, no payload.
+std::vector<uint8_t> Header(int64_t rows, int64_t cols, uint32_t crc) {
+  std::vector<uint8_t> bytes(28);
+  const uint32_t magic = 0x544b4c42, version = 1;
+  std::memcpy(&bytes[0], &magic, 4);
+  std::memcpy(&bytes[4], &version, 4);
+  std::memcpy(&bytes[8], &rows, 8);
+  std::memcpy(&bytes[16], &cols, 8);
+  std::memcpy(&bytes[24], &crc, 4);
+  return bytes;
 }
 
 TEST(SerializerTest, RoundTripPreservesContents) {
@@ -94,37 +126,80 @@ TEST(SerializerTest, DetectsBadMagic) {
 TEST(SerializerTest, Crc32KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926 (IEEE check value).
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(Serializer::Crc32(data, sizeof(data)), 0xCBF43926u);
+  const auto crcs = CrcByEveryPath(data, sizeof(data));
+  for (size_t path = 0; path < crcs.size(); ++path) {
+    EXPECT_EQ(crcs[path], 0xCBF43926u) << kCrcPaths[path];
+  }
 }
 
 TEST(SerializerTest, Crc32MatchesBytewiseReference) {
-  // Every length across the 16-byte step and its tail, at every
-  // alignment of the start pointer.
-  const std::vector<uint8_t> buf = RandomBytes(257 + 16, 11);
+  // Every length across the fold's 64-byte minimum, its 64- and 16-byte
+  // strides and the table loop's tail, at every alignment of the start
+  // pointer.
+  const std::vector<uint8_t> buf = RandomBytes(300 + 16, 11);
   for (size_t offset = 0; offset < 16; ++offset) {
-    for (size_t len = 0; len <= 257; ++len) {
-      ASSERT_EQ(Serializer::Crc32(buf.data() + offset, len),
-                BytewiseCrc32(buf.data() + offset, len))
-          << "offset " << offset << " length " << len;
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* data = buf.data() + offset;
+      const uint32_t want = BytewiseCrc32(data, len);
+      const auto crcs = CrcByEveryPath(data, len);
+      for (size_t path = 0; path < crcs.size(); ++path) {
+        ASSERT_EQ(crcs[path], want) << kCrcPaths[path] << ", offset "
+                                    << offset << " length " << len;
+      }
     }
   }
   const std::vector<uint8_t> big = RandomBytes(1 << 20, 12);
-  EXPECT_EQ(Serializer::Crc32(big.data(), big.size()),
-            BytewiseCrc32(big.data(), big.size()));
+  const uint32_t want = BytewiseCrc32(big.data(), big.size());
+  const auto crcs = CrcByEveryPath(big.data(), big.size());
+  for (size_t path = 0; path < crcs.size(); ++path) {
+    EXPECT_EQ(crcs[path], want) << kCrcPaths[path];
+  }
 }
 
 TEST(SerializerTest, DetectsEverySingleBitFlip) {
-  const data::Matrix original = RandomMatrix(3, 3, 5);
-  std::vector<uint8_t> bytes;
-  Serializer::Serialize(original, &bytes);
-  const size_t header = bytes.size() - original.bytes();
-  for (size_t bit = header * 8; bit < bytes.size() * 8; ++bit) {
-    std::vector<uint8_t> flipped = bytes;
-    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    const auto result = Serializer::Deserialize(flipped);
-    ASSERT_FALSE(result.ok()) << "bit " << bit;
-    EXPECT_NE(result.status().message().find("checksum"), std::string::npos)
-        << "bit " << bit;
+  // 3x3 (72 payload bytes) stays short of the fold's four-lane loop;
+  // 16x16 (2 KiB) runs through it.
+  for (const int64_t n : {3, 16}) {
+    const data::Matrix original = RandomMatrix(n, n, 5);
+    std::vector<uint8_t> bytes;
+    Serializer::Serialize(original, &bytes);
+    const size_t header = bytes.size() - original.bytes();
+    uint32_t stored = 0;
+    std::memcpy(&stored, &bytes[header - 4], sizeof(stored));
+    for (size_t bit = header * 8; bit < bytes.size() * 8; ++bit) {
+      std::vector<uint8_t> flipped = bytes;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      const auto crcs =
+          CrcByEveryPath(flipped.data() + header, original.bytes());
+      for (size_t path = 0; path < crcs.size(); ++path) {
+        ASSERT_NE(crcs[path], stored)
+            << kCrcPaths[path] << ", " << n << "x" << n << " bit " << bit;
+      }
+      const auto result = Serializer::Deserialize(flipped);
+      ASSERT_FALSE(result.ok()) << n << "x" << n << " bit " << bit;
+      EXPECT_NE(result.status().message().find("checksum"), std::string::npos)
+          << n << "x" << n << " bit " << bit;
+    }
+  }
+}
+
+TEST(SerializerTest, RejectsDimensionsWhosePayloadSizeWraps) {
+  // rows * cols * 8 wraps to 0 in 64 bits for both headers, so a bare
+  // header matched the wrapped size and the (empty) payload's CRC, and
+  // the process died allocating the matrix. The CRC field holds what
+  // each path computes for an empty payload.
+  const std::vector<std::pair<int64_t, int64_t>> dims = {
+      {int64_t{1} << 32, int64_t{1} << 29}, {int64_t{1} << 61, 8}};
+  for (const auto& [rows, cols] : dims) {
+    for (const uint32_t crc : CrcByEveryPath(nullptr, 0)) {
+      const auto result = Serializer::Deserialize(Header(rows, cols, crc));
+      ASSERT_FALSE(result.ok()) << rows << "x" << cols;
+      EXPECT_TRUE(result.status().IsInvalidArgument());
+      EXPECT_NE(result.status().message().find(std::to_string(rows) + "x" +
+                                               std::to_string(cols)),
+                std::string::npos)
+          << result.status().message();
+    }
   }
 }
 
@@ -156,6 +231,18 @@ TEST(SerializerTest, WireFormatGolden) {
   std::vector<uint8_t> in_place(Serializer::SerializedSize(m));
   Serializer::SerializeTo(m, in_place.data());
   EXPECT_EQ(in_place, bytes);
+  const auto crcs = CrcByEveryPath(bytes.data() + 28, m.bytes());
+  for (size_t path = 0; path < crcs.size(); ++path) {
+    EXPECT_EQ(crcs[path], 0x7ba0a4cdu) << kCrcPaths[path];
+  }
+  // A block long enough for the fold: its CRC field is slice-by-16's.
+  const data::Matrix big = RandomMatrix(16, 16, 9);
+  std::vector<uint8_t> big_bytes;
+  Serializer::Serialize(big, &big_bytes);
+  uint32_t stored = 0;
+  std::memcpy(&stored, &big_bytes[24], sizeof(stored));
+  EXPECT_EQ(stored, Serializer::Crc32Portable(big_bytes.data() + 28,
+                                              big.bytes()));
 }
 
 TEST(SerializerTest, AppendsToExistingBuffer) {
