@@ -60,6 +60,19 @@ data::Matrix RandomMatrix(int64_t n, uint64_t seed) {
   return m;
 }
 
+/// Kernel of one row reduction: the sum of row `row` of the first
+/// input minus the same row of the second.
+Status RowSum(const runtime::KernelInputs& inputs,
+              const runtime::KernelOutputs& outputs, int64_t row) {
+  const data::Matrix& x = *inputs[0];
+  const data::Matrix& y = *inputs[1];
+  double sum = 0;
+  for (int64_t c = 0; c < x.cols(); ++c) sum += x.At(row, c);
+  for (int64_t c = 0; c < y.cols(); ++c) sum -= y.At(row, c);
+  *outputs[0] = data::Matrix(1, 1, sum);
+  return Status::OK();
+}
+
 /// `tasks` independent row reductions over two shared n x n inputs.
 /// Each task reads both full blocks but computes over a single row,
 /// so on an uncached storage data plane the wall time is dominated by
@@ -75,17 +88,7 @@ TaskGraph RowSumDag(int64_t tasks, int64_t n,
     TaskSpec spec;
     spec.type = "rowsum";
     spec.params = {{a, Dir::kIn}, {b, Dir::kIn}, {out, Dir::kOut}};
-    const int64_t row = t % n;
-    spec.kernel = [row](const std::vector<const data::Matrix*>& inputs,
-                        const std::vector<data::Matrix*>& outputs) -> Status {
-      const data::Matrix& x = *inputs[0];
-      const data::Matrix& y = *inputs[1];
-      double sum = 0;
-      for (int64_t c = 0; c < x.cols(); ++c) sum += x.At(row, c);
-      for (int64_t c = 0; c < y.cols(); ++c) sum -= y.At(row, c);
-      *outputs[0] = data::Matrix(1, 1, sum);
-      return Status::OK();
-    };
+    spec.kernel = runtime::BindKernel(RowSum, t % n);
     TB_CHECK_OK(graph.Submit(spec).status());
   }
   return graph;

@@ -60,11 +60,14 @@ using service::WorkflowService;
 /// Cancel makes the one after that admissible. Returns true when the
 /// sequence behaves exactly that way.
 bool CancellationFreesSlots() {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> entered{false};
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<bool> entered{false};
+  } gate;
 
+  // A null gate copies at once; a gated copy waits for the release.
   auto one_task_graph = [&](bool gated) {
     TaskGraph graph;
     const DataId in = graph.AddData(data::Matrix(2, 2, 1.0));
@@ -72,17 +75,18 @@ bool CancellationFreesSlots() {
     TaskSpec spec;
     spec.type = "unit";
     spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
-    spec.kernel = [&mu, &cv, &release, &entered, gated](
-                      const std::vector<const data::Matrix*>& inputs,
-                      const std::vector<data::Matrix*>& outputs) -> Status {
-      if (gated) {
-        entered.store(true);
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return release; });
-      }
-      *outputs[0] = *inputs[0];
-      return Status::OK();
-    };
+    spec.kernel = runtime::BindKernel(
+        +[](const runtime::KernelInputs& inputs,
+            const runtime::KernelOutputs& outputs, Gate* g) -> Status {
+          if (g != nullptr) {
+            g->entered.store(true);
+            std::unique_lock<std::mutex> lock(g->mu);
+            g->cv.wait(lock, [g] { return g->release; });
+          }
+          *outputs[0] = *inputs[0];
+          return Status::OK();
+        },
+        gated ? &gate : nullptr);
     TB_CHECK_OK(graph.Submit(std::move(spec)).status());
     return graph;
   };
@@ -98,7 +102,7 @@ bool CancellationFreesSlots() {
 
   auto running = service.Submit(one_task_graph(/*gated=*/true));
   TB_CHECK_OK(running.status());
-  while (!entered.load()) std::this_thread::yield();
+  while (!gate.entered.load()) std::this_thread::yield();
   auto queued = service.Submit(one_task_graph(false));
   TB_CHECK_OK(queued.status());
 
@@ -110,10 +114,10 @@ bool CancellationFreesSlots() {
   const bool slot_freed = readmitted.ok();
 
   {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.release = true;
   }
-  cv.notify_all();
+  gate.cv.notify_all();
   TB_CHECK_OK(service.Wait(*running).status());
   if (slot_freed) TB_CHECK_OK(service.Wait(*readmitted).status());
   return rejected_at_cap && *cancel && slot_freed;

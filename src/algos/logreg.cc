@@ -53,9 +53,9 @@ Status GradKernel(const std::vector<const data::Matrix*>& inputs,
 
 /// apply_grad: averages the partial gradients and takes one descent
 /// step. inputs = [partials..., weights (aliasing outputs[0])].
-Status ApplyGradKernel(double learning_rate,
-                       const std::vector<const data::Matrix*>& inputs,
-                       const std::vector<data::Matrix*>& outputs) {
+Status ApplyGradKernel(const runtime::KernelInputs& inputs,
+                       const runtime::KernelOutputs& outputs,
+                       double learning_rate) {
   if (inputs.size() < 2 || outputs.size() != 1) {
     return Status::InvalidArgument(
         "apply_grad expects >= 1 partial plus weights, 1 output");
@@ -214,10 +214,7 @@ Result<LogRegWorkflow> BuildLogReg(const data::GridSpec& spec,
     for (DataId partial : partials) apply.params.push_back({partial, Dir::kIn});
     apply.params.push_back({wf.weights, Dir::kInOut});
     if (options.materialize) {
-      apply.kernel = [lr](const std::vector<const data::Matrix*>& in,
-                          const std::vector<data::Matrix*>& out) {
-        return ApplyGradKernel(lr, in, out);
-      };
+      apply.kernel = runtime::BindKernel(ApplyGradKernel, lr);
     }
     apply.cost = ApplyGradCost(static_cast<int64_t>(partials.size()), f + 1);
     apply.processor = Processor::kCpu;

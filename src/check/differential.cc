@@ -109,6 +109,18 @@ RealRun RunReal(const WorkloadSpec& spec, const RealConfig& config) {
       return out;
     }
     runtime::Executor& executor = **executor_or;
+    // Warm the plane with another seeded workload first, so the leg's
+    // own graph runs on resident workers: a reset arena, a new task
+    // table and emptied worker caches.
+    auto warm = BuildWorkload(GenerateSpec(spec.seed + 1));
+    if (!warm.ok()) {
+      out.status = warm.status();
+      return out;
+    }
+    if (auto warm_run = executor.Run(warm->graph); !warm_run.ok()) {
+      out.status = warm_run.status().WithContext("warm-up workload");
+      return out;
+    }
     auto result = executor.Run(built->graph);
     if (!result.ok()) {
       out.status = result.status();

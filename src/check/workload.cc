@@ -1,6 +1,8 @@
 #include "check/workload.h"
 
 #include <cstddef>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "algos/kmeans.h"
@@ -89,26 +91,31 @@ Status ApplyOp(Op op, const Matrix& a, const Matrix& b, Matrix* out) {
 /// Binary kernel out = op(in0, in1). For INOUT accumulators the
 /// second input aliases the output slot, which ApplyOp tolerates (it
 /// materializes a fresh matrix before assigning).
-KernelFn BinaryKernel(Op op) {
-  return [op](const std::vector<const Matrix*>& inputs,
-              const std::vector<Matrix*>& outputs) -> Status {
-    return ApplyOp(op, *inputs[0], *inputs[1], outputs[0]);
-  };
+Status BinaryOp(const runtime::KernelInputs& inputs,
+                const runtime::KernelOutputs& outputs, Op op) {
+  return ApplyOp(op, *inputs[0], *inputs[1], outputs[0]);
 }
+
+KernelFn BinaryKernel(Op op) { return runtime::BindKernel(BinaryOp, op); }
 
 /// Reduce kernel: out = in0 (+) in1 (+) ... folded left in param
 /// order, so the summation order is independent of execution order.
-KernelFn ReduceKernel(std::vector<Op> ops) {
-  return [ops = std::move(ops)](const std::vector<const Matrix*>& inputs,
-                                const std::vector<Matrix*>& outputs)
-             -> Status {
-    Matrix acc = *inputs[0];
-    for (size_t i = 1; i < inputs.size(); ++i) {
-      TB_RETURN_IF_ERROR(ApplyOp(ops[i - 1], acc, *inputs[i], &acc));
-    }
-    *outputs[0] = std::move(acc);
-    return Status::OK();
-  };
+/// `args` holds one Op byte per fold step.
+Status ReduceOps(std::string_view args, const runtime::KernelInputs& inputs,
+                 const runtime::KernelOutputs& outputs) {
+  Matrix acc = *inputs[0];
+  for (size_t i = 1; i < inputs.size(); ++i) {
+    const Op op = static_cast<Op>(args[i - 1]);
+    TB_RETURN_IF_ERROR(ApplyOp(op, acc, *inputs[i], &acc));
+  }
+  *outputs[0] = std::move(acc);
+  return Status::OK();
+}
+
+KernelFn ReduceKernel(const std::vector<Op>& ops) {
+  std::string args;
+  for (const Op op : ops) args.push_back(static_cast<char>(op));
+  return KernelFn(&ReduceOps, std::move(args));
 }
 
 Processor DrawProcessor(const WorkloadSpec& spec, int index) {
@@ -169,11 +176,7 @@ Result<BuiltWorkload> BuildFanOutFanIn(const WorkloadSpec& spec, Rng& rng) {
         auto id, w.graph.Submit(MakeSpec(
                      StrFormat("fan_op%d", static_cast<int>(op)),
                      {{root, Dir::kIn}, {aux, Dir::kIn}, {mid, Dir::kOut}},
-                     [op](const std::vector<const Matrix*>& inputs,
-                          const std::vector<Matrix*>& outputs) -> Status {
-                       return ApplyOp(op, *inputs[0], *inputs[1], outputs[0]);
-                     },
-                     bytes, DrawProcessor(spec, i))));
+                     BinaryKernel(op), bytes, DrawProcessor(spec, i))));
     (void)id;
   }
   const DataId out = w.graph.AddData(static_cast<uint64_t>(bytes), "reduce");
@@ -186,7 +189,7 @@ Result<BuiltWorkload> BuildFanOutFanIn(const WorkloadSpec& spec, Rng& rng) {
   }
   TB_ASSIGN_OR_RETURN(
       auto id, w.graph.Submit(MakeSpec("reduce", std::move(params),
-                                       ReduceKernel(std::move(reduce_ops)),
+                                       ReduceKernel(reduce_ops),
                                        bytes, Processor::kCpu)));
   (void)id;
   CompareAll(&w);
@@ -250,7 +253,7 @@ Result<BuiltWorkload> BuildRandomDag(const WorkloadSpec& spec, Rng& rng) {
     TB_ASSIGN_OR_RETURN(
         auto id, w.graph.Submit(MakeSpec(
                      "rand", std::move(params),
-                     ReduceKernel(std::move(ops)), bytes,
+                     ReduceKernel(ops), bytes,
                      DrawProcessor(spec, t))));
     (void)id;
     pool.push_back(out);

@@ -2,6 +2,9 @@
 #define TASKBENCH_DATA_MATRIX_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -18,6 +21,10 @@ class Matrix {
   Matrix() = default;
   /// A rows x cols matrix initialized to `fill`.
   Matrix(int64_t rows, int64_t cols, double fill = 0.0);
+  /// A rows x cols matrix whose elements are left unset, for callers
+  /// that overwrite every one (a fill they overwrite costs as much as
+  /// a copy).
+  static Matrix Uninitialized(int64_t rows, int64_t cols);
 
   Matrix(const Matrix&) = default;
   Matrix& operator=(const Matrix&) = default;
@@ -61,9 +68,23 @@ class Matrix {
   }
 
  private:
+  /// Default-initializes where std::allocator value-initializes, so
+  /// resize(n) leaves the new doubles unset instead of zeroing them.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// C = A * B. Fails on inner-dimension mismatch. Dispatches to the

@@ -8,6 +8,9 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +24,9 @@
 
 #if !defined(_WIN32)
 #include <dirent.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <sched.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -36,21 +42,25 @@
 
 namespace taskbench::runtime {
 
+#if defined(_WIN32)
+
+struct MultiProcExecutor::Plane {};
+
 MultiProcExecutor::MultiProcExecutor(RunOptions options)
     : options_(std::move(options)) {}
+
+MultiProcExecutor::~MultiProcExecutor() = default;
+
+bool MultiProcExecutor::Supported() { return false; }
+
+Result<RunReport> MultiProcExecutor::Execute(TaskGraph&, const RunContext&) {
+  return Status::Unimplemented(
+      "multi-process execution needs fork + POSIX shared memory");
+}
 
 Result<data::Matrix> MultiProcExecutor::FetchData(const TaskGraph& graph,
                                                   DataId id) const {
   return FetchGraphValue(graph, id);
-}
-
-#if defined(_WIN32)
-
-bool MultiProcExecutor::Supported() { return false; }
-
-Result<RunReport> MultiProcExecutor::Execute(TaskGraph&) {
-  return Status::Unimplemented(
-      "multi-process execution needs fork + POSIX shared memory");
 }
 
 #else
@@ -64,13 +74,17 @@ namespace {
 /// the worker to sweep block-cache entries whose stored tag no longer
 /// matches the directory. Correctness never depends on the sweep —
 /// entries are keyed by directory tag, and arena records are
-/// immutable and never reused, so a stale entry is unreachable — the
-/// epoch only reclaims budget bytes dead entries would otherwise pin
-/// until LRU eviction.
+/// immutable and never reused within a run, so a stale entry is
+/// unreachable — the epoch only reclaims budget bytes dead entries
+/// would otherwise pin until LRU eviction.
 struct TaskMsg {
   int64_t task = -1;
   int32_t attempt = 1;
   uint64_t epoch = 0;
+  /// The run this attempt belongs to. A worker that sees a new
+  /// generation reads the run's header and drops its block cache:
+  /// tags are arena offsets, and the arena is reset between runs.
+  uint64_t generation = 0;
 };
 
 /// Worker -> coordinator: the attempt finished. code 0 = success,
@@ -108,10 +122,9 @@ struct WorkerChannel {
 
 struct ControlHeader {
   std::atomic<int> shutdown{0};
-  /// Shared clock origin: steady_clock (CLOCK_MONOTONIC — one clock
-  /// for the whole box) nanoseconds captured just before fork, so
-  /// coordinator and worker timestamps land on one axis.
-  int64_t origin_ns = 0;
+  /// Arena offset of the current run's RunHeader, written before the
+  /// run's first dispatch (the ring push publishes it).
+  uint64_t run_header = 0;
   /// Rung by a worker after each outbox push; the idle coordinator
   /// waits on it for the next completion from any worker.
   Doorbell completions;
@@ -121,7 +134,9 @@ struct ControlHeader {
 /// segment so the coordinator can merge them into the metrics
 /// registry after the run. The worker stores absolute values after
 /// each task (idempotent — a crashed worker leaves its last published
-/// snapshot, which is exactly what it did).
+/// snapshot, which is exactly what it did); its cache and counters
+/// start over with each run, and the coordinator zeroes the slots
+/// before dispatching one.
 struct CacheStatsSlot {
   std::atomic<int64_t> hits{0};
   std::atomic<int64_t> misses{0};
@@ -130,8 +145,59 @@ struct CacheStatsSlot {
   std::atomic<uint64_t> peak_bytes{0};
 };
 
+/// One task as workers see it: the kernel as plain data, and where its
+/// params and argument bytes sit in the run's table.
+struct TaskEntry {
+  KernelFn::Fn fn = nullptr;
+  uint64_t first_param = 0;  ///< index into the run's Param array
+  uint64_t num_params = 0;
+  uint64_t args = 0;  ///< offset into the run's argument bytes
+  uint64_t args_bytes = 0;
+};
+
+/// Written at the front of the reset arena for every run, followed by
+/// the block directory (one atomic tag per datum: record offset + 1,
+/// 0 = never written), the task table, every task's params and the
+/// kernels' argument bytes — all a worker forked before the graph
+/// existed needs to run its tasks. Offsets are arena offsets.
+struct RunHeader {
+  uint64_t generation = 0;
+  /// Shared clock origin: steady_clock (CLOCK_MONOTONIC — one clock
+  /// for the whole box) nanoseconds captured just before the run's
+  /// first dispatch, so coordinator and worker timestamps land on one
+  /// axis.
+  int64_t origin_ns = 0;
+  uint64_t directory = 0;
+  uint64_t tasks = 0;
+  uint64_t params = 0;
+  uint64_t args = 0;
+};
+
 static_assert(std::is_trivially_copyable_v<TaskMsg>);
 static_assert(std::is_trivially_copyable_v<CompletionMsg>);
+static_assert(std::is_trivially_copyable_v<TaskEntry>);
+static_assert(std::is_trivially_copyable_v<Param>);
+
+/// A run's table, resolved to pointers in one process's mapping.
+struct RunView {
+  int64_t origin_ns = 0;
+  std::atomic<uint64_t>* directory = nullptr;
+  const TaskEntry* tasks = nullptr;
+  const Param* params = nullptr;
+  const char* args = nullptr;
+
+  RunView() = default;
+  RunView(const storage::ShmArena& arena, uint64_t header_offset) {
+    const auto* header =
+        reinterpret_cast<const RunHeader*>(arena.At(header_offset));
+    origin_ns = header->origin_ns;
+    directory =
+        reinterpret_cast<std::atomic<uint64_t>*>(arena.At(header->directory));
+    tasks = reinterpret_cast<const TaskEntry*>(arena.At(header->tasks));
+    params = reinterpret_cast<const Param*>(arena.At(header->params));
+    args = reinterpret_cast<const char*>(arena.At(header->args));
+  }
+};
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -159,9 +225,9 @@ Result<uint64_t> StageBlock(storage::ShmArena& arena, const data::Matrix& m) {
 }
 
 /// Deserializes the arena record a (nonzero) directory tag points at.
-/// Records are immutable once staged and offsets are never reused, so
-/// a tag identifies one block version forever — which is what makes
-/// tags usable as block-cache versions.
+/// Records are immutable once staged and offsets are never reused
+/// within a run, so a tag identifies one block version for the run —
+/// which is what makes tags usable as block-cache versions.
 Result<data::Matrix> ReadBlockAt(const storage::ShmArena& arena,
                                  uint64_t tag) {
   const uint8_t* record = arena.At(tag - 1);
@@ -187,17 +253,20 @@ void SetError(CompletionMsg* msg, const Status& status) {
 /// the anti-dependency (write-after-read) edges of the graph make a
 /// republication during execution impossible, so any change is an
 /// invariant violation (code 3).
-CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
-                     storage::ShmArena& arena, std::atomic<uint64_t>* directory,
-                     int64_t origin_ns, bool check,
+CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const RunView& run,
+                     storage::ShmArena& arena, bool check,
                      storage::BlockCache* cache) {
+  const int64_t origin_ns = run.origin_ns;
+  std::atomic<uint64_t>* directory = run.directory;
   CompletionMsg out;
   out.task = msg.task;
   out.worker = worker_id;
   out.attempt = msg.attempt;
   out.start = SecondsSince(origin_ns);
 
-  const Task& task = graph.task(msg.task);
+  const TaskEntry& task = run.tasks[msg.task];
+  const std::span<const Param> params(run.params + task.first_param,
+                                      task.num_params);
 
   // Materialize inputs (IN + INOUT) and output slots (OUT + INOUT),
   // mirroring the thread-pool layout: kernel inputs are IN values
@@ -209,10 +278,10 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
   std::vector<DataId> out_ids;
   std::vector<size_t> inout_out_index;
   std::vector<std::pair<DataId, uint64_t>> read_tags;  // for the check
-  in_values.reserve(task.spec.params.size());
-  out_values.resize(task.spec.params.size());
+  in_values.reserve(params.size());
+  out_values.resize(params.size());
   size_t num_outputs = 0;
-  for (const Param& p : task.spec.params) {
+  for (const Param& p : params) {
     if (p.dir == Dir::kOut) {
       out_ids.push_back(p.data);
       ++num_outputs;
@@ -285,14 +354,16 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
   }
   out_values.resize(num_outputs);
 
-  std::vector<const data::Matrix*> inputs;
-  std::vector<data::Matrix*> outputs;
+  KernelInputs inputs;
+  KernelOutputs outputs;
   for (const auto& m : in_values) inputs.push_back(m.get());
   for (size_t idx : inout_out_index) inputs.push_back(&out_values[idx]);
   for (data::Matrix& m : out_values) outputs.push_back(&m);
 
   const double kernel_start = SecondsSince(origin_ns);
-  const Status kernel_status = task.spec.kernel(inputs, outputs);
+  const Status kernel_status = task.fn(
+      std::string_view(run.args + task.args, task.args_bytes), inputs,
+      outputs);
   out.compute_s = SecondsSince(origin_ns) - kernel_start;
   if (!kernel_status.ok()) {
     out.code = 1;
@@ -381,7 +452,8 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const TaskGraph& graph,
 
 /// Longest a parked worker sleeps before it checks that its
 /// coordinator is still alive. Dispatch and shutdown ring the worker's
-/// bell, so the slice only bounds how long an orphan lingers.
+/// bell, so the slice only bounds how long an orphan lingers, mid-run
+/// or idle between runs.
 constexpr std::chrono::milliseconds kWorkerWaitSlice{10};
 
 /// Worker process main loop. Never returns — exits with _exit so the
@@ -389,10 +461,8 @@ constexpr std::chrono::milliseconds kWorkerWaitSlice{10};
 /// and (under sanitizers) the leak check, all of which belong to the
 /// coordinator.
 [[noreturn]] void WorkerMain(int worker_id, pid_t coordinator,
-                             const TaskGraph& graph,
                              storage::ShmArena& arena, ControlHeader* header,
                              WorkerChannel* channel,
-                             std::atomic<uint64_t>* directory,
                              const std::vector<int>& pin_cpus, bool check,
                              uint64_t cache_bytes,
                              CacheStatsSlot* stats_slot) {
@@ -401,13 +471,21 @@ constexpr std::chrono::milliseconds kWorkerWaitSlice{10};
     const Status ignored = hw::PinCurrentThreadToCpus(pin_cpus);
     (void)ignored;
   }
-  // Worker-local block cache, created after the fork: each worker
-  // process owns private heap entries keyed by the shared directory
+#if defined(__GLIBC__)
+  // A resident worker shares the coordinator's heap pages copy-on-write
+  // for as long as it lives, and a page both still map costs the
+  // coordinator a copy when it next writes it. Its next allocations
+  // reuse the heap's free chunks first, which the worker never reads:
+  // release the worker's mapping of them.
+  ::malloc_trim(0);
+#endif
+  // Worker-local block cache, created for each run: each worker
+  // process owns private heap entries keyed by the run's directory
   // tags (cache_bytes == 0 disables caching).
   std::optional<storage::BlockCache> cache;
-  if (cache_bytes > 0) cache.emplace(cache_bytes);
+  uint64_t generation = 0;  // the coordinator numbers runs from 1
+  RunView run;
   uint64_t seen_epoch = 0;
-  const int64_t origin_ns = header->origin_ns;
   const auto stopping = [header] {
     return header->shutdown.load(std::memory_order_acquire) != 0;
   };
@@ -425,19 +503,26 @@ constexpr std::chrono::milliseconds kWorkerWaitSlice{10};
       if (!rung && ::getppid() != coordinator) _exit(1);
       continue;
     }
+    if (msg.generation != generation) {
+      // A new run: its table sits in the reset arena, and every cached
+      // tag names a record of the previous run.
+      generation = msg.generation;
+      run = RunView(arena, header->run_header);
+      seen_epoch = 0;
+      if (cache_bytes > 0) cache.emplace(cache_bytes);
+    }
     if (cache.has_value() && msg.epoch != seen_epoch) {
       // The coordinator republished at least one directory slot since
       // our last dispatch: sweep entries whose tag moved on, so dead
       // versions stop pinning budget bytes.
       seen_epoch = msg.epoch;
-      cache->EvictStale([directory](uint64_t key) {
-        return directory[static_cast<DataId>(key)].load(
+      cache->EvictStale([&run](uint64_t key) {
+        return run.directory[static_cast<DataId>(key)].load(
             std::memory_order_acquire);
       });
     }
-    const CompletionMsg done =
-        RunOne(worker_id, msg, graph, arena, directory, origin_ns, check,
-               cache.has_value() ? &*cache : nullptr);
+    const CompletionMsg done = RunOne(worker_id, msg, run, arena, check,
+                                      cache.has_value() ? &*cache : nullptr);
     if (cache.has_value() && stats_slot != nullptr) {
       const storage::BlockCache::Stats& s = cache->stats();
       stats_slot->hits.store(s.hits, std::memory_order_relaxed);
@@ -454,15 +539,41 @@ constexpr std::chrono::milliseconds kWorkerWaitSlice{10};
   }
 }
 
-/// Arena capacity estimate from the graph: one record per staged
-/// initial value plus one per task output write and one index record
-/// per attempt (records are never freed), each at the datum's
-/// registered size plus framing, with 2x headroom for kernels
-/// emitting denser blocks than registered and a 1 MiB floor. The
-/// per-attempt terms are scaled by 1 + max_retries: every retry of a
-/// crashed or failed attempt re-stages its outputs into fresh
-/// records, so an arena sized for exactly one attempt per task would
-/// exhaust during the recovery the retry budget promises.
+/// Byte layout of a run's table record: RunHeader, directory, task
+/// table, params, argument bytes; offsets from the record's start.
+struct TableLayout {
+  uint64_t directory = 0;
+  uint64_t tasks = 0;
+  uint64_t params = 0;
+  uint64_t args = 0;
+  uint64_t bytes = 0;
+
+  explicit TableLayout(const TaskGraph& graph) {
+    uint64_t num_params = 0;
+    uint64_t args_bytes = 0;
+    for (TaskId t = 0; t < graph.num_tasks(); ++t) {
+      num_params += graph.task(t).spec.params.size();
+      args_bytes += graph.task(t).spec.kernel.args.size();
+    }
+    directory = AlignUp64(sizeof(RunHeader));
+    tasks = directory + AlignUp64(static_cast<uint64_t>(graph.num_data()) *
+                                  sizeof(std::atomic<uint64_t>));
+    params = tasks + AlignUp64(static_cast<uint64_t>(graph.num_tasks()) *
+                               sizeof(TaskEntry));
+    args = params + AlignUp64(num_params * sizeof(Param));
+    bytes = args + AlignUp64(args_bytes);
+  }
+};
+
+/// Arena capacity estimate from the graph for block records: one
+/// record per staged initial value plus one per task output write and
+/// one index record per attempt (records are never freed within a
+/// run), each at the datum's registered size plus framing, with 2x
+/// headroom for kernels emitting denser blocks than registered and a
+/// 1 MiB floor. The per-attempt terms are scaled by 1 + max_retries:
+/// every retry of a crashed or failed attempt re-stages its outputs
+/// into fresh records, so an arena sized for exactly one attempt per
+/// task would exhaust during the recovery the retry budget promises.
 uint64_t EstimateArenaBytes(const TaskGraph& graph, int max_retries) {
   auto record_bytes = [](uint64_t payload) {
     return AlignUp64(payload + 8 /* frame */ + 28 /* wire header */);
@@ -522,6 +633,12 @@ int SettledProcessThreads() {
   return n;
 }
 
+/// Address space a plane's arena maps at least. Pages are backed only
+/// once touched, and each run's capacity is still set by its own graph
+/// (ShmArena::Reset), so the floor only lets a plane forked for a small
+/// graph carry on with larger ones instead of being replaced.
+constexpr uint64_t kMinArenaMapping = uint64_t{64} << 20;
+
 /// Tasks queued to one worker beyond the one it is running — deep
 /// enough to hide dispatch latency, shallow enough that the
 /// coordinator keeps placement freedom (and far below the ring
@@ -536,10 +653,179 @@ constexpr std::chrono::milliseconds kCoordinatorWaitSlice{1};
 
 }  // namespace
 
+struct MultiProcExecutor::Plane {
+  storage::ShmSegment control;  ///< header, W channels, W cache stats
+  storage::ShmArena arena;      ///< run table + block records
+  ControlHeader* header = nullptr;
+  WorkerChannel* channels = nullptr;
+  CacheStatsSlot* cache_stats = nullptr;
+  std::vector<pid_t> pids;
+  /// Cleared once a worker is reaped: its pid may then be reused.
+  std::vector<char> alive;
+  bool workers_up = false;
+  uint64_t generation = 0;
+  /// The last successful run, for FetchData: its graph, the arena
+  /// offset of its RunHeader, and the tag each datum was staged under
+  /// (0 = no initial value).
+  const TaskGraph* last_graph = nullptr;
+  uint64_t last_run_header = 0;
+  std::vector<uint64_t> initial_tag;
+
+  /// Maps the segments and forks the workers.
+  static Result<std::unique_ptr<Plane>> Fork(const RunOptions& options,
+                                             uint64_t arena_bytes);
+
+  Plane() = default;
+  Plane(const Plane&) = delete;
+  Plane& operator=(const Plane&) = delete;
+  ~Plane() { StopWorkers(); }
+
+  /// Shuts the workers down and reaps them; the mappings stay, so the
+  /// last run's results can still be fetched.
+  void StopWorkers();
+};
+
+Result<std::unique_ptr<MultiProcExecutor::Plane>>
+MultiProcExecutor::Plane::Fork(const RunOptions& options,
+                               uint64_t arena_bytes) {
+  const int caller_threads = SettledProcessThreads();
+  if (caller_threads > 1) {
+    return Status::FailedPrecondition(StrFormat(
+        "MultiProcExecutor::Execute must be called from a single-threaded "
+        "process when it forks its workers (found %d threads): workers are "
+        "forked without exec, so locks held by other threads at fork time "
+        "stay locked forever in the children; join other threads before "
+        "the first run (see docs/SCALE_OUT.md; resident services should "
+        "use --executor=threads or sim instead)",
+        caller_threads));
+  }
+
+  // The shared-memory plane: the control segment holds the per-worker
+  // rings and cache counters, the arena each run's table and blocks.
+  // Both are mapped before fork, so every process shares the pages at
+  // the same addresses.
+  const int num_workers = options.num_procs;
+  auto plane = std::make_unique<Plane>();
+  TB_ASSIGN_OR_RETURN(plane->arena,
+                      storage::ShmArena::Create("arena", arena_bytes));
+  const uint64_t channels_off = AlignUp64(sizeof(ControlHeader));
+  const uint64_t cache_stats_off =
+      AlignUp64(channels_off + static_cast<uint64_t>(num_workers) *
+                                   sizeof(WorkerChannel));
+  const uint64_t control_bytes =
+      cache_stats_off +
+      static_cast<uint64_t>(num_workers) * sizeof(CacheStatsSlot);
+  TB_ASSIGN_OR_RETURN(plane->control,
+                      storage::ShmSegment::Create("ctl", control_bytes));
+  uint8_t* control = plane->control.base();
+  plane->header = new (control) ControlHeader();
+  plane->channels = reinterpret_cast<WorkerChannel*>(control + channels_off);
+  plane->cache_stats =
+      reinterpret_cast<CacheStatsSlot*>(control + cache_stats_off);
+  for (int w = 0; w < num_workers; ++w) {
+    new (&plane->channels[w]) WorkerChannel();
+    new (&plane->cache_stats[w]) CacheStatsSlot();
+  }
+
+  // Fork the workers; flush stdio first so buffered output is not
+  // duplicated into every child. Workers pin to their NUMA domain's
+  // CPUs on multi-domain hosts.
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const hw::Topology& topo = hw::DetectTopology();
+  const bool pin = topo.num_domains() > 1;
+  const uint64_t cache_bytes =
+      options.block_cache ? storage::kDefaultBlockCacheBytes : 0;
+  const pid_t coordinator = getpid();
+  plane->pids.assign(static_cast<size_t>(num_workers), -1);
+  plane->alive.assign(static_cast<size_t>(num_workers), 0);
+  plane->workers_up = true;
+  for (int w = 0; w < num_workers; ++w) {
+    const pid_t pid = fork();
+    if (pid == 0) {
+      const std::vector<int> cpus =
+          pin ? topo.domains[static_cast<size_t>(
+                                 topo.domain_of_worker(w, num_workers))]
+                    .cpus
+              : std::vector<int>{};
+      WorkerMain(w, coordinator, plane->arena, plane->header,
+                 &plane->channels[w], cpus, options.check_invariants,
+                 cache_bytes, &plane->cache_stats[w]);
+    }
+    if (pid < 0) {
+      const int err = errno;
+      plane->StopWorkers();
+      return Status::Internal(
+          StrFormat("fork of worker %d failed: %s", w, std::strerror(err)));
+    }
+    plane->pids[static_cast<size_t>(w)] = pid;
+    plane->alive[static_cast<size_t>(w)] = 1;
+  }
+  return plane;
+}
+
+void MultiProcExecutor::Plane::StopWorkers() {
+  if (!workers_up) return;
+  workers_up = false;
+  // Workers exit once their inbox drains and the flag is up (the ring
+  // wakes parked ones); SIGKILL is the backstop for workers stuck in a
+  // kernel after a failed run.
+  header->shutdown.store(1, std::memory_order_release);
+  for (size_t w = 0; w < pids.size(); ++w) channels[w].inbox_bell.Ring();
+  const int64_t reap_deadline_ns = NowNs() + 5'000'000'000LL;
+  for (size_t w = 0; w < pids.size(); ++w) {
+    if (!alive[w]) continue;
+    alive[w] = 0;
+    for (;;) {
+      const pid_t r = waitpid(pids[w], nullptr, WNOHANG);
+      if (r == pids[w]) break;
+      // ECHILD + pid gone: auto-reaped (embedder ignores SIGCHLD).
+      if (r < 0 && kill(pids[w], 0) != 0) break;
+      if (NowNs() > reap_deadline_ns) {
+        kill(pids[w], SIGKILL);
+        waitpid(pids[w], nullptr, 0);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+}
+
+MultiProcExecutor::MultiProcExecutor(RunOptions options)
+    : options_(std::move(options)) {}
+
+MultiProcExecutor::~MultiProcExecutor() = default;
+
 bool MultiProcExecutor::Supported() { return true; }
+
+Result<data::Matrix> MultiProcExecutor::FetchData(const TaskGraph& graph,
+                                                  DataId id) const {
+  TB_RETURN_IF_ERROR(CheckDataId(graph, id));
+  const size_t d = static_cast<size_t>(id);
+  if (plane_ != nullptr && plane_->last_graph == &graph &&
+      d < plane_->initial_tag.size()) {
+    // A slot still holding its initial tag was never rewritten, and the
+    // graph entry holds those exact bytes.
+    const RunView run(plane_->arena, plane_->last_run_header);
+    const uint64_t tag = run.directory[id].load(std::memory_order_acquire);
+    if (tag != plane_->initial_tag[d]) return ReadBlockAt(plane_->arena, tag);
+  }
+  return FetchGraphValue(graph, id);
+}
 
 Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                                              const RunContext& ctx) {
+  if (executing_.exchange(true, std::memory_order_acquire)) {
+    return Status::FailedPrecondition(
+        "MultiProcExecutor::Execute is already running on this executor; "
+        "it is not reentrant (give each concurrent caller its own "
+        "executor)");
+  }
+  struct ClearOnExit {
+    std::atomic<bool>* flag;
+    ~ClearOnExit() { flag->store(false, std::memory_order_release); }
+  } clear_executing{&executing_};
+
   TB_RETURN_IF_ERROR(options_.Validate());
   TB_RETURN_IF_ERROR(graph.Validate());
   const int64_t total = graph.num_tasks();
@@ -553,17 +839,30 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  const int caller_threads = SettledProcessThreads();
-  if (caller_threads > 1) {
-    return Status::FailedPrecondition(StrFormat(
-        "MultiProcExecutor::Execute must be called from a single-threaded "
-        "process (found %d threads): workers are forked without exec, so "
-        "locks held by other threads at fork time stay locked forever in "
-        "the children; join other threads before running (see "
-        "docs/SCALE_OUT.md; resident services should use --executor="
-        "threads or sim instead)",
-        caller_threads));
+  // The run's arena holds its table plus its block records. A plane
+  // whose workers are gone, or whose arena is too small, is replaced:
+  // the old workers are reaped before the new ones fork.
+  const TableLayout layout(graph);
+  const uint64_t arena_bytes =
+      layout.bytes + (options_.shm_arena_bytes > 0
+                          ? options_.shm_arena_bytes
+                          : EstimateArenaBytes(graph, options_.max_retries));
+  if (plane_ != nullptr && (!plane_->workers_up ||
+                            plane_->arena.max_capacity() < arena_bytes)) {
+    plane_.reset();
   }
+  if (plane_ == nullptr) {
+    TB_ASSIGN_OR_RETURN(
+        plane_, Plane::Fork(options_, std::max(arena_bytes, kMinArenaMapping)));
+  }
+  Plane& plane = *plane_;
+  // Every early return fails the run, which tears the plane down.
+  struct TearDownOnError {
+    std::unique_ptr<Plane>* plane;
+    ~TearDownOnError() {
+      if (plane != nullptr) plane->reset();
+    }
+  } tear_down{&plane_};
 
   const int num_workers = options_.num_procs;
   const hw::Topology& topo = hw::DetectTopology();
@@ -574,105 +873,71 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   }
 
   // ----------------------------------------------------------------
-  // Shared-memory data plane: the block arena plus a control segment
-  // holding the per-worker rings and the block directory. Everything
-  // is mapped before fork so all processes share the pages at the
-  // same addresses.
+  // Write the run into the reset arena: the run header, the directory
+  // and the task table, then the initial values. Workers are idle, so
+  // nothing reads the arena until the first dispatch publishes it.
   // ----------------------------------------------------------------
-  const uint64_t arena_bytes =
-      options_.shm_arena_bytes > 0
-          ? options_.shm_arena_bytes
-          : EstimateArenaBytes(graph, options_.max_retries);
-  TB_ASSIGN_OR_RETURN(storage::ShmArena arena,
-                      storage::ShmArena::Create("arena", arena_bytes));
-
-  const bool use_cache = options_.block_cache;
-  const uint64_t cache_bytes =
-      use_cache ? storage::kDefaultBlockCacheBytes : 0;
-
-  const uint64_t header_off = 0;
-  const uint64_t channels_off = AlignUp64(header_off + sizeof(ControlHeader));
-  const uint64_t directory_off =
-      AlignUp64(channels_off + static_cast<uint64_t>(num_workers) *
-                                   sizeof(WorkerChannel));
-  const uint64_t cache_stats_off =
-      AlignUp64(directory_off +
-                static_cast<uint64_t>(num_data) * sizeof(std::atomic<uint64_t>));
-  const uint64_t control_bytes =
-      cache_stats_off +
-      static_cast<uint64_t>(num_workers) * sizeof(CacheStatsSlot);
-  TB_ASSIGN_OR_RETURN(storage::ShmSegment control,
-                      storage::ShmSegment::Create("ctl", control_bytes));
-  auto* header = new (control.base() + header_off) ControlHeader();
-  auto* channels =
-      reinterpret_cast<WorkerChannel*>(control.base() + channels_off);
-  for (int w = 0; w < num_workers; ++w) new (&channels[w]) WorkerChannel();
+  plane.last_graph = nullptr;  // the reset discards the last run's values
+  storage::ShmArena& arena = plane.arena;
+  arena.Reset(arena_bytes);
+  TB_ASSIGN_OR_RETURN(const uint64_t table, arena.Allocate(layout.bytes));
+  uint8_t* table_base = arena.At(table);
+  auto* run_header = new (table_base) RunHeader();
+  run_header->generation = ++plane.generation;
+  run_header->directory = table + layout.directory;
+  run_header->tasks = table + layout.tasks;
+  run_header->params = table + layout.params;
+  run_header->args = table + layout.args;
   auto* directory =
-      reinterpret_cast<std::atomic<uint64_t>*>(control.base() + directory_off);
+      reinterpret_cast<std::atomic<uint64_t>*>(table_base + layout.directory);
   for (DataId d = 0; d < num_data; ++d) {
     new (&directory[d]) std::atomic<uint64_t>(0);
   }
-  auto* cache_stats =
-      reinterpret_cast<CacheStatsSlot*>(control.base() + cache_stats_off);
-  for (int w = 0; w < num_workers; ++w) new (&cache_stats[w]) CacheStatsSlot();
+  auto* tasks = reinterpret_cast<TaskEntry*>(table_base + layout.tasks);
+  auto* params = reinterpret_cast<Param*>(table_base + layout.params);
+  auto* args = reinterpret_cast<char*>(table_base + layout.args);
+  uint64_t next_param = 0;
+  uint64_t next_arg = 0;
+  for (TaskId t = 0; t < total; ++t) {
+    const TaskSpec& spec = graph.task(t).spec;
+    new (&tasks[t]) TaskEntry{spec.kernel.fn, next_param, spec.params.size(),
+                              next_arg, spec.kernel.args.size()};
+    std::memcpy(params + next_param, spec.params.data(),
+                sizeof(Param) * spec.params.size());
+    std::memcpy(args + next_arg, spec.kernel.args.data(),
+                spec.kernel.args.size());
+    next_param += spec.params.size();
+    next_arg += spec.kernel.args.size();
+  }
 
-  // Stage and publish initial values (coordinator-side, pre-fork, so
-  // the publications are trivially visible to every worker). The
-  // directory stores offset+1 so 0 keeps meaning "never written".
-  // initial_tag remembers each publication: records are never reused,
-  // so a slot still holding it after the run was never rewritten.
-  std::vector<uint64_t> initial_tag(static_cast<size_t>(num_data), 0);
+  // Stage and publish the initial values. The directory stores
+  // offset+1 so 0 keeps meaning "never written". initial_tag remembers
+  // each publication: records are not reused within a run, so a slot
+  // still holding it after the run was never rewritten.
+  plane.initial_tag.assign(static_cast<size_t>(num_data), 0);
   for (DataId d = 0; d < num_data; ++d) {
     const DataEntry& entry = graph.data(d);
     if (!entry.value.has_value()) continue;
     TB_ASSIGN_OR_RETURN(const uint64_t offset,
                         StageBlock(arena, *entry.value));
-    initial_tag[static_cast<size_t>(d)] = offset + 1;
-    directory[d].store(offset + 1, std::memory_order_release);
+    plane.initial_tag[static_cast<size_t>(d)] = offset + 1;
+    directory[d].store(offset + 1, std::memory_order_relaxed);
   }
 
-  header->origin_ns = NowNs();
-
-  // ----------------------------------------------------------------
-  // Fork the workers. Kernels (std::function) and the graph ride into
-  // the children via copy-on-write; flush stdio first so buffered
-  // output is not duplicated into every child.
-  // ----------------------------------------------------------------
-  std::fflush(stdout);
-  std::fflush(stderr);
-  std::vector<pid_t> pids(static_cast<size_t>(num_workers), -1);
-  // Workers pin to their NUMA domain's CPUs on multi-domain hosts.
-  const bool pin = topo.num_domains() > 1;
-  const pid_t coordinator = getpid();
   for (int w = 0; w < num_workers; ++w) {
-    const pid_t pid = fork();
-    if (pid == 0) {
-      const std::vector<int> cpus =
-          pin ? topo.domains[static_cast<size_t>(
-                               worker_domain[static_cast<size_t>(w)])].cpus
-              : std::vector<int>{};
-      WorkerMain(w, coordinator, graph, arena, header, &channels[w],
-                 directory, cpus, options_.check_invariants, cache_bytes,
-                 &cache_stats[w]);
-    }
-    if (pid < 0) {
-      header->shutdown.store(1, std::memory_order_release);
-      for (int k = 0; k < w; ++k) {
-        kill(pids[static_cast<size_t>(k)], SIGKILL);
-        waitpid(pids[static_cast<size_t>(k)], nullptr, 0);
-      }
-      return Status::Internal(
-          StrFormat("fork of worker %d failed: %s", w, std::strerror(errno)));
-    }
-    pids[static_cast<size_t>(w)] = pid;
+    new (&plane.cache_stats[w]) CacheStatsSlot();
   }
+  run_header->origin_ns = NowNs();
+  plane.header->run_header = table;
+  WorkerChannel* channels = plane.channels;
+  const std::vector<pid_t>& pids = plane.pids;
 
   // ----------------------------------------------------------------
   // Coordinator loop: dependency counting, topology-aware dispatch,
   // completion draining, liveness. Runs entirely in this thread; no
   // block bytes ever pass through here.
   // ----------------------------------------------------------------
-  const int64_t origin_ns = header->origin_ns;
+  const int64_t origin_ns = run_header->origin_ns;
   std::vector<int> remaining(static_cast<size_t>(total), 0);
   std::deque<std::pair<TaskId, int>> ready;  // (task, attempt), FIFO
   struct Delayed {
@@ -688,7 +953,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   int64_t dead_workers = 0;
   int64_t num_completed = 0;
   std::vector<int> inflight(static_cast<size_t>(num_workers), 0);
-  std::vector<char> alive(static_cast<size_t>(num_workers), 1);
+  std::vector<char>& alive = plane.alive;  // a reaped worker is cleared
   std::vector<std::vector<std::pair<TaskId, int>>> inflight_tasks(
       static_cast<size_t>(num_workers));
   // Domain whose worker produced each datum's current version; -1 for
@@ -763,6 +1028,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     msg.task = t;
     msg.attempt = attempt;
     msg.epoch = inval_epoch;
+    msg.generation = plane.generation;
     if (!channels[best].inbox.Push(msg)) return false;
     channels[best].inbox_bell.Ring();
     ++inflight[static_cast<size_t>(best)];
@@ -982,44 +1248,20 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
         slice = std::chrono::duration_cast<std::chrono::nanoseconds>(until_due);
       }
     }
-    if (!header->completions.Wait(completions_pending, slice)) {
+    if (!plane.header->completions.Wait(completions_pending, slice)) {
       check_liveness();
     }
   }
 
-  // Shut the plane down: workers exit once their inbox drains and the
-  // flag is up (the ring wakes parked ones); SIGKILL is the backstop
-  // for workers stuck in a kernel after a failed run.
-  header->shutdown.store(1, std::memory_order_release);
-  for (int w = 0; w < num_workers; ++w) channels[w].inbox_bell.Ring();
-  const int64_t reap_deadline_ns = NowNs() + 5'000'000'000LL;
-  for (int w = 0; w < num_workers; ++w) {
-    if (!alive[static_cast<size_t>(w)]) continue;
-    for (;;) {
-      const pid_t r = waitpid(pids[static_cast<size_t>(w)], nullptr, WNOHANG);
-      if (r == pids[static_cast<size_t>(w)]) break;
-      // ECHILD + pid gone: auto-reaped (embedder ignores SIGCHLD).
-      if (r < 0 && kill(pids[static_cast<size_t>(w)], 0) != 0) break;
-      if (NowNs() > reap_deadline_ns) {
-        kill(pids[static_cast<size_t>(w)], SIGKILL);
-        waitpid(pids[static_cast<size_t>(w)], nullptr, 0);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-
-  if (failed) return failure;
-
-  // Persist the values the run wrote onto the graph entries (the
-  // arena unmaps when this function returns). A slot still holding its
-  // initial tag was never rewritten, and the graph already holds those
-  // exact bytes.
-  for (DataId d = 0; d < num_data; ++d) {
-    const uint64_t tag = directory[d].load(std::memory_order_acquire);
-    if (tag == initial_tag[static_cast<size_t>(d)]) continue;
-    TB_ASSIGN_OR_RETURN(graph.mutable_data(d).value, ReadBlockAt(arena, tag));
-  }
+  if (failed) return failure;  // tears the plane down
+  tear_down.plane = nullptr;
+  // A run that lost a worker gives its workers up but keeps the arena
+  // for FetchData; so would one with attempts still in flight, which
+  // cannot happen once every task completed, but the next run's rings
+  // must start empty.
+  const bool drained = std::all_of(inflight.begin(), inflight.end(),
+                                   [](int n) { return n == 0; });
+  if (dead_workers > 0 || !drained) plane.StopWorkers();
 
   double makespan = 0;
   for (const TaskRecord& rec : records) {
@@ -1027,10 +1269,12 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   }
 
   // Every timestamp shares the CLOCK_MONOTONIC origin written into the
-  // control header, so the busy-time bound applies.
+  // run header, so the busy-time bound applies.
   if (options_.check_invariants) {
     TB_RETURN_IF_ERROR(CheckBusyTimeBound(records, num_workers));
   }
+  plane.last_graph = &graph;
+  plane.last_run_header = table;
 
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *options_.metrics;
@@ -1040,20 +1284,19 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     if (dead_workers > 0) {
       registry.counter("pool.worker_crashes")->Add(dead_workers);
     }
-    if (use_cache) {
+    if (options_.block_cache) {
       // Workers published their last stats snapshot into the shared
       // control segment after each task; sum them here (same names as
       // the thread pool's cache counters, so dashboards line up).
       int64_t hits = 0, misses = 0, evictions = 0, invalidations = 0;
       uint64_t peak = 0;
       for (int w = 0; w < num_workers; ++w) {
-        hits += cache_stats[w].hits.load(std::memory_order_relaxed);
-        misses += cache_stats[w].misses.load(std::memory_order_relaxed);
-        evictions += cache_stats[w].evictions.load(std::memory_order_relaxed);
-        invalidations +=
-            cache_stats[w].invalidations.load(std::memory_order_relaxed);
-        peak = std::max(
-            peak, cache_stats[w].peak_bytes.load(std::memory_order_relaxed));
+        const CacheStatsSlot& slot = plane.cache_stats[w];
+        hits += slot.hits.load(std::memory_order_relaxed);
+        misses += slot.misses.load(std::memory_order_relaxed);
+        evictions += slot.evictions.load(std::memory_order_relaxed);
+        invalidations += slot.invalidations.load(std::memory_order_relaxed);
+        peak = std::max(peak, slot.peak_bytes.load(std::memory_order_relaxed));
       }
       registry.counter("cache.hits")->Add(hits);
       registry.counter("cache.misses")->Add(misses);

@@ -1,10 +1,15 @@
 #ifndef TASKBENCH_RUNTIME_TASK_GRAPH_H_
 #define TASKBENCH_RUNTIME_TASK_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -28,11 +33,107 @@ struct Param {
   Dir dir;
 };
 
-/// Kernel signature for real execution: reads `inputs` (IN then INOUT
-/// params, in declaration order), writes `outputs` (OUT then INOUT).
-using KernelFn = std::function<Status(
-    const std::vector<const data::Matrix*>& inputs,
-    const std::vector<data::Matrix*>& outputs)>;
+/// What a kernel reads: IN then INOUT param values, in declaration
+/// order. INOUT entries alias their output slots.
+using KernelInputs = std::vector<const data::Matrix*>;
+/// What a kernel writes: OUT then INOUT param slots.
+using KernelOutputs = std::vector<data::Matrix*>;
+
+/// A kernel without arguments.
+using PlainKernel = Status (*)(const KernelInputs& inputs,
+                               const KernelOutputs& outputs);
+
+/// A kernel as plain data: a function pointer plus argument bytes.
+/// Every executor calls `fn(args, inputs, outputs)`. The multi-process
+/// executor copies `fn` and `args` into shared memory for workers that
+/// were forked before the graph existed: the address of a function is
+/// the same in every worker because workers are forked, never exec'd.
+///
+/// Arguments are copied bytes, so a pointer in them means something
+/// only where the kernel runs. On the thread pool that is the caller's
+/// address space; on the multi-process plane it is a worker forked
+/// from the caller, where only MAP_SHARED memory mapped before the
+/// executor forked its workers is both visible and shared.
+/// Process-global state a kernel reads (data::SetDefaultKernelVariant)
+/// is likewise fixed in a worker at its fork.
+///
+/// Build one from a plain kernel function or captureless lambda
+/// (`spec.kernel = MyKernel;`), with BindKernel for trivially copyable
+/// arguments, or directly from `fn` and hand-packed bytes for
+/// variable-length arguments.
+struct KernelFn {
+  using Fn = Status (*)(std::string_view args, const KernelInputs& inputs,
+                        const KernelOutputs& outputs);
+
+  KernelFn() = default;
+  /// No kernel, as a null function pointer would say.
+  KernelFn(std::nullptr_t) {}
+  KernelFn(Fn f, std::string a) : fn(f), args(std::move(a)) {}
+  /// A kernel without arguments; also accepts a captureless lambda.
+  template <typename F>
+    requires std::is_convertible_v<F, PlainKernel>
+  KernelFn(F f);
+
+  Status operator()(const KernelInputs& inputs,
+                    const KernelOutputs& outputs) const {
+    return fn(args, inputs, outputs);
+  }
+  friend bool operator==(const KernelFn& k, std::nullptr_t) {
+    return k.fn == nullptr;
+  }
+
+  Fn fn = nullptr;
+  std::string args;
+};
+
+namespace kernel_internal {
+
+template <typename T>
+T Take(const char*& p) {
+  T value;
+  std::memcpy(&value, p, sizeof(T));
+  p += sizeof(T);
+  return value;
+}
+
+/// Unpacks what BindKernel packed: the bound function, then each
+/// argument in order (a braced list evaluates left to right).
+template <typename... A>
+Status CallBound(std::string_view args, const KernelInputs& inputs,
+                 const KernelOutputs& outputs) {
+  using Bound = Status (*)(const KernelInputs&, const KernelOutputs&, A...);
+  const char* p = args.data();
+  const Bound fn = Take<Bound>(p);
+  std::tuple<A...> values{Take<A>(p)...};
+  return std::apply([&](A... a) { return fn(inputs, outputs, a...); },
+                    values);
+}
+
+}  // namespace kernel_internal
+
+/// Binds trivially copyable arguments (pointers, enums, doubles) to
+/// `fn`, which receives them after the inputs and outputs. The bytes
+/// are the function pointer then each argument, so a kernel with up
+/// to 7 bytes of arguments stays in std::string's inline buffer.
+template <typename... A>
+KernelFn BindKernel(Status (*fn)(const KernelInputs&, const KernelOutputs&,
+                                 A...),
+                    std::type_identity_t<A>... args) {
+  static_assert(((std::is_trivially_copyable_v<A> &&
+                  !std::is_reference_v<A> && !std::is_const_v<A>) &&
+                 ...),
+                "kernel arguments travel as bytes: pass them by value");
+  std::string bytes(sizeof(fn) + (sizeof(A) + ... + 0), '\0');
+  char* p = bytes.data();
+  std::memcpy(p, &fn, sizeof(fn));
+  p += sizeof(fn);
+  ((std::memcpy(p, &args, sizeof(A)), p += sizeof(A)), ...);
+  return KernelFn(&kernel_internal::CallBound<A...>, std::move(bytes));
+}
+
+template <typename F>
+  requires std::is_convertible_v<F, PlainKernel>
+KernelFn::KernelFn(F f) : KernelFn(BindKernel(static_cast<PlainKernel>(f))) {}
 
 /// Everything the runtime needs to know about one submitted task.
 struct TaskSpec {
@@ -40,8 +141,8 @@ struct TaskSpec {
   /// (Section 4.2 "tasks running the same code are aggregated").
   std::string type;
   std::vector<Param> params;
-  /// Kernel for the real (thread-pool) execution path. May be null
-  /// when the graph is only simulated.
+  /// Kernel for the real (thread-pool and multi-process) execution
+  /// paths. May be null when the graph is only simulated.
   KernelFn kernel;
   /// Cost descriptor for the simulated path and the analytic model.
   perf::TaskCost cost;

@@ -266,7 +266,7 @@ Result<data::Matrix> Serializer::Deserialize(const uint8_t* data,
         "buffer has %zu",
         static_cast<unsigned long long>(payload_bytes), buffer_payload));
   }
-  data::Matrix m(rows, cols);
+  data::Matrix m = data::Matrix::Uninitialized(rows, cols);
   if (CopyWithCrc32(reinterpret_cast<uint8_t*>(m.data()), p + kHeaderBytes,
                     payload_bytes) != ReadPod<uint32_t>(p + kCrcOffset)) {
     return Status::InvalidArgument("checksum mismatch in serialized block");

@@ -1,5 +1,6 @@
 #include "storage/shm_arena.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <new>
@@ -151,7 +152,18 @@ Result<uint64_t> ShmArena::Allocate(uint64_t bytes) {
   }
 }
 
+void ShmArena::Reset(uint64_t capacity) {
+  const uint64_t header_bytes = AlignUp(sizeof(Header));
+  Header* h = header();
+  h->capacity = std::min(header_bytes + AlignUp(capacity), segment_.bytes());
+  h->next.store(header_bytes, std::memory_order_relaxed);
+}
+
 uint64_t ShmArena::capacity() const { return header()->capacity; }
+
+uint64_t ShmArena::max_capacity() const {
+  return segment_.bytes() - AlignUp(sizeof(Header));
+}
 
 uint64_t ShmArena::used() const {
   return header()->next.load(std::memory_order_relaxed);

@@ -51,8 +51,8 @@ class ShmSegment {
 /// fetch_add on an atomic cursor that lives in the segment itself.
 /// Records are never freed individually — a datum overwritten by a
 /// later task version gets a fresh record and the old one is
-/// abandoned; the whole arena is reclaimed when the run's mappings
-/// close. That makes write-after-read safe by construction: a reader
+/// abandoned; the whole arena is reclaimed at once by Reset, between
+/// runs. That makes write-after-read safe by construction: a reader
 /// holding an old offset can keep deserializing while the new version
 /// lands elsewhere.
 ///
@@ -77,18 +77,28 @@ class ShmArena {
   /// rather than the run simply being too big.
   Result<uint64_t> Allocate(uint64_t bytes);
 
+  /// Drops every record, so the next Allocate starts at the front, and
+  /// sets the usable payload bytes to `capacity`, capped at what Create
+  /// mapped (max_capacity). Reusing the mapping keeps its pages
+  /// faulted in, where a fresh arena would first-touch every one.
+  /// Only the owner may call it, while no other process allocates or
+  /// reads records.
+  void Reset(uint64_t capacity);
+
   /// Pointer to the record at `offset`. Valid in every process that
   /// inherited the mapping.
   uint8_t* At(uint64_t offset) const { return segment_.base() + offset; }
 
   uint64_t capacity() const;
+  /// The largest capacity Reset can set: what Create mapped.
+  uint64_t max_capacity() const;
   uint64_t used() const;
   bool valid() const { return segment_.valid(); }
 
  private:
   struct Header {
     std::atomic<uint64_t> next;  ///< bump cursor (offset of free space)
-    uint64_t capacity = 0;       ///< total segment bytes
+    uint64_t capacity = 0;       ///< end of the usable bytes (offset)
   };
   static_assert(std::atomic<uint64_t>::is_always_lock_free,
                 "cross-process bump allocation needs a lock-free atomic");

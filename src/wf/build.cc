@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/strings.h"
@@ -62,38 +63,46 @@ data::Matrix SeededMatrix(int64_t dim, uint64_t seed) {
 /// Kernel shared by every workflow task: folds all input bits into one
 /// hash and fills each output deterministically from it. Any missed,
 /// extra, or reordered dependency flips the fold and therefore every
-/// downstream output bit.
+/// downstream output bit. `args` holds the task hash (u64), then one
+/// dimension (i64) per output, as MakeKernel packs them.
+Status WfKernel(std::string_view args, const runtime::KernelInputs& inputs,
+                const runtime::KernelOutputs& outputs) {
+  uint64_t fold = 0;
+  std::memcpy(&fold, args.data(), sizeof(fold));
+  for (const data::Matrix* in : inputs) {
+    for (int64_t i = 0; i < in->size(); ++i) {
+      uint64_t bits;
+      static_assert(sizeof(bits) == sizeof(double), "");
+      std::memcpy(&bits, in->data() + i, sizeof(bits));
+      fold = Mix64(fold ^ bits);
+    }
+  }
+  const size_t num_dims = args.size() / 8 - 1;
+  if (outputs.size() != num_dims) {
+    return Status::Internal(StrFormat(
+        "wf kernel: expected %zu outputs, got %zu", num_dims, outputs.size()));
+  }
+  for (size_t o = 0; o < outputs.size(); ++o) {
+    int64_t dim = 0;
+    std::memcpy(&dim, args.data() + 8 * (o + 1), sizeof(dim));
+    data::Matrix m(dim, dim);
+    const uint64_t out_seed = Mix64(fold + 0x10001ull * (o + 1));
+    for (int64_t i = 0; i < m.size(); ++i) {
+      m.data()[i] = UnitFromHash(Mix64(out_seed + static_cast<uint64_t>(i)));
+    }
+    *outputs[o] = std::move(m);
+  }
+  return Status::OK();
+}
+
 runtime::KernelFn MakeKernel(uint64_t task_hash,
-                             std::vector<int64_t> out_dims) {
-  return [task_hash, out_dims = std::move(out_dims)](
-             const std::vector<const data::Matrix*>& inputs,
-             const std::vector<data::Matrix*>& outputs) -> Status {
-    uint64_t fold = task_hash;
-    for (const data::Matrix* in : inputs) {
-      for (int64_t i = 0; i < in->size(); ++i) {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(double), "");
-        std::memcpy(&bits, in->data() + i, sizeof(bits));
-        fold = Mix64(fold ^ bits);
-      }
-    }
-    if (outputs.size() != out_dims.size()) {
-      return Status::Internal(StrFormat(
-          "wf kernel: expected %zu outputs, got %zu", out_dims.size(),
-          outputs.size()));
-    }
-    for (size_t o = 0; o < outputs.size(); ++o) {
-      const int64_t dim = out_dims[o];
-      data::Matrix m(dim, dim);
-      const uint64_t out_seed = Mix64(fold + 0x10001ull * (o + 1));
-      for (int64_t i = 0; i < m.size(); ++i) {
-        m.data()[i] =
-            UnitFromHash(Mix64(out_seed + static_cast<uint64_t>(i)));
-      }
-      *outputs[o] = std::move(m);
-    }
-    return Status::OK();
-  };
+                             const std::vector<int64_t>& out_dims) {
+  std::string args(8 * (1 + out_dims.size()), '\0');
+  std::memcpy(args.data(), &task_hash, sizeof(task_hash));
+  if (!out_dims.empty()) {
+    std::memcpy(args.data() + 8, out_dims.data(), 8 * out_dims.size());
+  }
+  return runtime::KernelFn(&WfKernel, std::move(args));
 }
 
 bool IsGpuType(const std::string& type) {
@@ -263,7 +272,7 @@ Result<BuiltInstance> BuildInstance(const Instance& instance,
     }
 
     if (options.materialize) {
-      spec.kernel = MakeKernel(HashString(task.name), std::move(out_dims));
+      spec.kernel = MakeKernel(HashString(task.name), out_dims);
     }
     TB_RETURN_IF_ERROR(built.graph.Submit(std::move(spec)).status());
   }

@@ -41,6 +41,32 @@ KernelFn CopyKernel() {
   };
 }
 
+/// Holds a kernel until Release; `entered` is set once one waits.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<bool> entered{false};
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Copies its input once `gate` opens.
+Status GatedCopy(const KernelInputs& inputs, const KernelOutputs& outputs,
+                 Gate* gate) {
+  gate->entered.store(true);
+  std::unique_lock<std::mutex> lock(gate->mu);
+  gate->cv.wait(lock, [gate] { return gate->released; });
+  *outputs[0] = *inputs[0];
+  return Status::OK();
+}
+
 /// A chain of `length` copy tasks rooted at one 2x2 matrix.
 TaskGraph ChainGraph(int length) {
   TaskGraph graph;
@@ -98,27 +124,13 @@ TEST(CancellationTest, SimCancelledBeforeDispatch) {
 TEST(CancellationTest, ThreadPoolCancelledMidExecution) {
   // Task 1 blocks until the test has issued the cancel; the remaining
   // chain must then never dispatch and the run fails with kCancelled.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> entered{false};
+  Gate gate;
 
   TaskGraph graph;
   const DataId d0 = graph.AddData(data::Matrix(2, 2, 1.0));
   const DataId d1 = graph.AddData(static_cast<uint64_t>(32));
   ASSERT_TRUE(
-      graph
-          .Submit(SimpleTask(
-              d0, d1,
-              [&](const std::vector<const data::Matrix*>& inputs,
-                  const std::vector<data::Matrix*>& outputs) -> Status {
-                entered.store(true);
-                std::unique_lock<std::mutex> lock(mu);
-                cv.wait(lock, [&] { return release; });
-                *outputs[0] = *inputs[0];
-                return Status::OK();
-              }))
-          .ok());
+      graph.Submit(SimpleTask(d0, d1, BindKernel(GatedCopy, &gate))).ok());
   DataId prev = d1;
   for (int i = 0; i < 4; ++i) {
     const DataId next = graph.AddData(static_cast<uint64_t>(32));
@@ -137,13 +149,9 @@ TEST(CancellationTest, ThreadPoolCancelledMidExecution) {
   std::thread runner_thread;
   Result<RunReport> report = Status::Internal("not run");
   runner_thread = std::thread([&] { report = executor.Run(graph, ctx); });
-  while (!entered.load()) std::this_thread::yield();
+  while (!gate.entered.load()) std::this_thread::yield();
   token.Cancel();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
+  gate.Release();
   runner_thread.join();
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsCancelled()) << report.status().ToString();
@@ -210,11 +218,11 @@ TEST(CancellationTest, ThreadPoolCancelledDuringRetryBackoff) {
       graph
           .Submit(SimpleTask(
               d0, d1,
-              [&](const std::vector<const data::Matrix*>&,
-                  const std::vector<data::Matrix*>&) -> Status {
-                failed_once.store(true);
+              BindKernel(+[](const KernelInputs&, const KernelOutputs&,
+                             std::atomic<bool>* failed) -> Status {
+                failed->store(true);
                 return Status::Internal("injected");
-              }))
+              }, &failed_once)))
           .ok());
 
   RunOptions options;

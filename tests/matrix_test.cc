@@ -18,6 +18,17 @@ TEST(MatrixTest, ConstructsWithFill) {
   }
 }
 
+TEST(MatrixTest, UninitializedHasTheShapeAndTakesWrites) {
+  Matrix m = Matrix::Uninitialized(3, 4);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 4);
+  EXPECT_EQ(m.bytes(), 96u);
+  for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = 2.0;
+  EXPECT_TRUE(m == Matrix(3, 4, 2.0));
+  Matrix copy = m;  // copies keep the values
+  EXPECT_TRUE(copy == m);
+}
+
 TEST(MatrixTest, DefaultIsEmpty) {
   Matrix m;
   EXPECT_TRUE(m.empty());

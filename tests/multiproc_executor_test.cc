@@ -1,5 +1,7 @@
 #include "runtime/multiproc_executor.h"
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -150,9 +152,10 @@ TEST(MultiProcExecutorTest, ValuesBitExactAcrossProcessCounts) {
   }
 }
 
-// Writeback after the run copies only what the run rewrote: an input
-// no task wrote keeps its buffer, while an OUT datum and an INOUT
-// rewrite of an initial value come back with the new values.
+// The run writes nothing back onto the graph: an input no task wrote
+// keeps its buffer, and FetchData serves it from the graph entry, while
+// an OUT datum and an INOUT rewrite of an initial value are fetched
+// from the arena with the new values.
 TEST(MultiProcExecutorTest, WritebackLeavesUntouchedInputsInPlace) {
   auto build = [](TaskGraph* graph, DataId* in, DataId* acc, DataId* out) {
     *in = graph->AddData(data::Matrix(4, 4, 2.0));
@@ -261,9 +264,9 @@ TEST(MultiProcExecutorTest, ArenaExhaustionMidRunFailsTheRun) {
 // re-dispatched to a surviving worker, and the run completed — with
 // the loss visible in the fault counters and the attempt log.
 TEST(MultiProcExecutorTest, WorkerCrashMidTaskIsRetriedOnSurvivor) {
-  // MAP_SHARED counter mapped before graph construction, so the
-  // kernel closure (inherited by every worker at fork) sees one
-  // shared count: the first attempt dies, the retry completes.
+  // MAP_SHARED counter mapped before the plane forks, so the pointer
+  // bound into the kernel reaches one shared count in every worker:
+  // the first attempt dies, the retry completes.
   void* page = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   ASSERT_NE(page, MAP_FAILED);
@@ -275,15 +278,16 @@ TEST(MultiProcExecutorTest, WorkerCrashMidTaskIsRetriedOnSurvivor) {
   TaskSpec spec;
   spec.type = "crashy";
   spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
-  spec.kernel = [crashes_left](
-                    const std::vector<const data::Matrix*>& inputs,
-                    const std::vector<data::Matrix*>& outputs) -> Status {
-    if (crashes_left->fetch_sub(1, std::memory_order_acq_rel) > 0) {
-      _exit(17);  // die mid-task, taking the whole worker process down
-    }
-    *outputs[0] = *inputs[0];
-    return Status::OK();
-  };
+  spec.kernel = BindKernel(
+      +[](const KernelInputs& inputs, const KernelOutputs& outputs,
+          std::atomic<int>* crashes) -> Status {
+        if (crashes->fetch_sub(1, std::memory_order_acq_rel) > 0) {
+          _exit(17);  // die mid-task, taking the whole worker process down
+        }
+        *outputs[0] = *inputs[0];
+        return Status::OK();
+      },
+      crashes_left);
   ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
 
   RunOptions options = ProcOptions(2);
@@ -336,18 +340,17 @@ TEST(MultiProcExecutorTest, CrashedInOutAttemptIsAppliedExactlyOnce) {
     spec.type = "accumulate";
     spec.params = {{acc, Dir::kInOut}};
     const bool crashy = i == 1;
-    spec.kernel = [crashes_left, crashy](
-                      const std::vector<const data::Matrix*>& inputs,
-                      const std::vector<data::Matrix*>& outputs) -> Status {
-      (void)inputs;
-      if (crashy &&
-          crashes_left->fetch_sub(1, std::memory_order_acq_rel) > 0) {
-        _exit(17);  // die mid-chain, taking the worker down
-      }
-      data::Matrix& m = *outputs[0];  // aliases the INOUT input value
-      for (int64_t j = 0; j < m.size(); ++j) m.data()[j] += 1.0;
-      return Status::OK();
-    };
+    spec.kernel = BindKernel(
+        +[](const KernelInputs&, const KernelOutputs& outputs,
+            std::atomic<int>* crashes, bool crashy) -> Status {
+          if (crashy && crashes->fetch_sub(1, std::memory_order_acq_rel) > 0) {
+            _exit(17);  // die mid-chain, taking the worker down
+          }
+          data::Matrix& m = *outputs[0];  // aliases the INOUT input value
+          for (int64_t j = 0; j < m.size(); ++j) m.data()[j] += 1.0;
+          return Status::OK();
+        },
+        crashes_left, crashy);
     ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
   }
 
@@ -401,19 +404,19 @@ TEST(MultiProcExecutorTest, BlockCacheStaysCoherentAcrossCrashRetry) {
     spec.type = "accumulate";
     spec.params = {{base, Dir::kIn}, {acc, Dir::kInOut}};
     const bool crashy = i == 1;
-    spec.kernel = [crashes_left, crashy](
-                      const std::vector<const data::Matrix*>& inputs,
-                      const std::vector<data::Matrix*>& outputs) -> Status {
-      if (crashy &&
-          crashes_left->fetch_sub(1, std::memory_order_acq_rel) > 0) {
-        _exit(17);  // die mid-chain, taking the worker down
-      }
-      data::Matrix& m = *outputs[0];  // aliases the INOUT input value
-      for (int64_t j = 0; j < m.size(); ++j) {
-        m.data()[j] += inputs[0]->data()[j];
-      }
-      return Status::OK();
-    };
+    spec.kernel = BindKernel(
+        +[](const KernelInputs& inputs, const KernelOutputs& outputs,
+            std::atomic<int>* crashes, bool crashy) -> Status {
+          if (crashy && crashes->fetch_sub(1, std::memory_order_acq_rel) > 0) {
+            _exit(17);  // die mid-chain, taking the worker down
+          }
+          data::Matrix& m = *outputs[0];  // aliases the INOUT input value
+          for (int64_t j = 0; j < m.size(); ++j) {
+            m.data()[j] += inputs[0]->data()[j];
+          }
+          return Status::OK();
+        },
+        crashes_left, crashy);
     ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
   }
 
@@ -483,6 +486,317 @@ TEST(MultiProcExecutorTest, BlockCacheInOutRewriteNeverServesStale) {
   EXPECT_TRUE(check::VerifyReport(graph, *report, context).ok());
 }
 
+/// MAP_SHARED page the pid-recording kernels write into; it must be
+/// mapped before the executor forks its workers.
+struct PidPage {
+  std::atomic<int> started{0};
+  std::atomic<pid_t> pids[8] = {};
+};
+
+PidPage* MapPidPage() {
+  void* page = mmap(nullptr, sizeof(PidPage), PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  return page == MAP_FAILED ? nullptr : new (page) PidPage();
+}
+
+/// Runs `workers` tasks that each record their worker's pid, then wait
+/// (at most 2 s) until all of them have started, so every task runs on
+/// a different worker. Returns the sorted pids; empty if the run failed.
+std::vector<pid_t> WorkerPids(MultiProcExecutor& executor, int workers,
+                              PidPage* page) {
+  page->started.store(0);
+  TaskGraph graph;
+  for (int i = 0; i < workers; ++i) {
+    const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+    const DataId out = graph.AddData(static_cast<uint64_t>(32));
+    TaskSpec spec;
+    spec.type = "record_pid";
+    spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
+    spec.kernel = BindKernel(
+        +[](const KernelInputs& inputs, const KernelOutputs& outputs,
+            PidPage* page, int workers) -> Status {
+          page->pids[page->started.fetch_add(1)].store(getpid());
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (page->started.load() < workers &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          *outputs[0] = *inputs[0];
+          return Status::OK();
+        },
+        page, workers);
+    EXPECT_TRUE(graph.Submit(std::move(spec)).ok());
+  }
+  if (!executor.Execute(graph).ok()) return {};
+  std::vector<pid_t> pids;
+  for (int i = 0; i < workers; ++i) pids.push_back(page->pids[i].load());
+  std::sort(pids.begin(), pids.end());
+  return pids;
+}
+
+/// True when `pids` holds `workers` distinct live-looking pids.
+bool DistinctWorkers(const std::vector<pid_t>& pids, int workers) {
+  return static_cast<int>(pids.size()) == workers &&
+         std::adjacent_find(pids.begin(), pids.end()) == pids.end() &&
+         std::find(pids.begin(), pids.end(), pid_t{0}) == pids.end();
+}
+
+// The plane is resident: different graphs run back to back on one
+// executor, through the same W worker processes, and each run's values
+// match the thread pool's bit for bit.
+TEST(MultiProcExecutorTest, BackToBackGraphsShareTheResidentWorkers) {
+  constexpr int kWorkers = 2;
+  PidPage* page = MapPidPage();
+  ASSERT_NE(page, nullptr);
+  MultiProcExecutor executor(ProcOptions(kWorkers));
+  const std::vector<pid_t> before = WorkerPids(executor, kWorkers, page);
+  ASSERT_TRUE(DistinctWorkers(before, kWorkers));
+
+  for (const uint64_t seed : {3u, 11u}) {
+    const check::WorkloadSpec spec = check::GenerateSpec(seed);
+    auto baseline_built = check::BuildWorkload(spec);
+    auto built = check::BuildWorkload(spec);
+    ASSERT_TRUE(baseline_built.ok() && built.ok());
+    RunOptions thread_options;
+    thread_options.num_threads = 1;
+    thread_options.use_storage = false;
+    ThreadPoolExecutor baseline(thread_options);
+    ASSERT_TRUE(baseline.Execute(baseline_built->graph).ok());
+    auto report = executor.Execute(built->graph);
+    ASSERT_TRUE(report.ok()) << "seed " << seed << ": "
+                             << report.status().ToString();
+    for (const DataId d : built->compare) {
+      auto got = executor.FetchData(built->graph, d);
+      auto want = baseline.FetchData(baseline_built->graph, d);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_TRUE(*got == *want) << "datum " << d << " on seed " << seed;
+    }
+  }
+
+  EXPECT_EQ(WorkerPids(executor, kWorkers, page), before)
+      << "a run forked new workers instead of reusing the resident ones";
+  munmap(page, sizeof(PidPage));
+}
+
+// Each run resets the arena, so a graph of the same shape stages its
+// blocks at the same offsets — the tags worker caches are keyed by —
+// as the run before it. A cache kept across runs would serve the
+// first run's block for the second run's datum; the worker drops its
+// cache at each new run instead.
+TEST(MultiProcExecutorTest, BlockCacheNeverServesThePreviousRunsBlock) {
+  auto build = [](TaskGraph* graph, double value, std::vector<DataId>* outs) {
+    const DataId shared = graph->AddData(data::Matrix(4, 4, value));
+    for (int i = 0; i < 8; ++i) {
+      const DataId out = graph->AddData(static_cast<uint64_t>(128));
+      ASSERT_TRUE(graph->Submit(SimpleTask(shared, out, AddOneKernel())).ok());
+      outs->push_back(out);
+    }
+  };
+  obs::MetricsRegistry metrics;
+  RunOptions options = ProcOptions(2);
+  options.block_cache = true;
+  options.metrics = &metrics;
+  MultiProcExecutor executor(options);
+
+  TaskGraph first;
+  std::vector<DataId> first_outs;
+  build(&first, 1.0, &first_outs);
+  ASSERT_TRUE(executor.Execute(first).ok());
+  const int64_t first_misses = metrics.counter("cache.misses")->value();
+  const int64_t first_lookups =
+      first_misses + metrics.counter("cache.hits")->value();
+
+  TaskGraph second;
+  std::vector<DataId> second_outs;
+  build(&second, 5.0, &second_outs);
+  ASSERT_TRUE(executor.Execute(second).ok());
+  for (const DataId d : second_outs) {
+    auto value = executor.FetchData(second, d);
+    ASSERT_TRUE(value.ok());
+    EXPECT_TRUE(*value == data::Matrix(4, 4, 6.0))
+        << "datum " << d << " was computed from the first run's block";
+  }
+  // Both runs start from empty caches, and each run reports its own
+  // counts: the shared block misses once per worker that reads it, in
+  // the second run as in the first.
+  const int64_t second_misses =
+      metrics.counter("cache.misses")->value() - first_misses;
+  const int64_t second_lookups = metrics.counter("cache.misses")->value() +
+                                 metrics.counter("cache.hits")->value() -
+                                 first_lookups;
+  EXPECT_GE(second_misses, 1);
+  EXPECT_EQ(second_lookups, first_lookups);
+}
+
+// A run that loses a worker, a cancelled run and a run whose retry
+// budget runs out each give up the plane; the next Execute on the same
+// executor forks a fresh one and runs on all W workers.
+TEST(MultiProcExecutorTest, NextRunAfterAFailedRunForksFreshWorkers) {
+  constexpr int kWorkers = 2;
+  PidPage* page = MapPidPage();
+  ASSERT_NE(page, nullptr);
+  void* crash_page = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
+                          MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(crash_page, MAP_FAILED);
+  auto* crashes_left = new (crash_page) std::atomic<int>(0);
+
+  RunOptions options = ProcOptions(kWorkers);
+  options.max_retries = 1;
+  options.retry_backoff_s = 1e-4;
+  MultiProcExecutor executor(options);
+  std::vector<pid_t> pids = WorkerPids(executor, kWorkers, page);
+  ASSERT_TRUE(DistinctWorkers(pids, kWorkers));
+
+  auto one_task = [](KernelFn kernel) {
+    auto graph = std::make_unique<TaskGraph>();
+    const DataId in = graph->AddData(data::Matrix(2, 2, 1.0));
+    const DataId out = graph->AddData(static_cast<uint64_t>(32));
+    EXPECT_TRUE(graph->Submit(SimpleTask(in, out, std::move(kernel))).ok());
+    return graph;
+  };
+
+  // Loses a worker; the retry on the survivor completes the run.
+  crashes_left->store(1);
+  auto crashing = one_task(BindKernel(
+      +[](const KernelInputs& inputs, const KernelOutputs& outputs,
+          std::atomic<int>* crashes) -> Status {
+        if (crashes->fetch_sub(1) > 0) _exit(17);
+        *outputs[0] = *inputs[0];
+        return Status::OK();
+      },
+      crashes_left));
+  auto lost = executor.Execute(*crashing);
+  ASSERT_TRUE(lost.ok()) << lost.status().ToString();
+  EXPECT_EQ(lost->faults.dead_nodes, 1);
+  EXPECT_TRUE(*executor.FetchData(*crashing, 1) == data::Matrix(2, 2, 1.0))
+      << "the results of a run that lost a worker must stay fetchable";
+  std::vector<pid_t> next = WorkerPids(executor, kWorkers, page);
+  EXPECT_TRUE(DistinctWorkers(next, kWorkers)) << "after a lost worker";
+  EXPECT_NE(next, pids);
+  pids = next;
+
+  // Cancelled.
+  CancellationToken token;
+  token.Cancel();
+  RunContext cancelled_ctx;
+  cancelled_ctx.cancel = &token;
+  auto cancelled = executor.Execute(*one_task(AddOneKernel()), cancelled_ctx);
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  next = WorkerPids(executor, kWorkers, page);
+  EXPECT_TRUE(DistinctWorkers(next, kWorkers)) << "after a cancelled run";
+  EXPECT_NE(next, pids);
+  pids = next;
+
+  // Retry budget exhausted.
+  auto failing = executor.Execute(*one_task(
+      [](const KernelInputs&, const KernelOutputs&) -> Status {
+        return Status::Internal("always fails");
+      }));
+  EXPECT_FALSE(failing.ok());
+  next = WorkerPids(executor, kWorkers, page);
+  EXPECT_TRUE(DistinctWorkers(next, kWorkers)) << "after a failed run";
+  EXPECT_NE(next, pids);
+
+  munmap(crash_page, 4096);
+  munmap(page, sizeof(PidPage));
+}
+
+// A graph that needs more arena than the resident plane mapped gets a
+// fresh, larger plane; its old workers are reaped first.
+TEST(MultiProcExecutorTest, GraphNeedingALargerArenaForksAFreshPlane) {
+  constexpr int kWorkers = 2;
+  PidPage* page = MapPidPage();
+  ASSERT_NE(page, nullptr);
+  MultiProcExecutor executor(ProcOptions(kWorkers));
+  const std::vector<pid_t> small = WorkerPids(executor, kWorkers, page);
+  ASSERT_TRUE(DistinctWorkers(small, kWorkers));
+
+  // 18 MiB in and out: with the estimate's 2x headroom, more than the
+  // 64 MiB a plane maps at least.
+  constexpr int64_t kDim = 1536;
+  TaskGraph big;
+  const DataId in = big.AddData(data::Matrix(kDim, kDim, 1.0));
+  const DataId out = big.AddData(static_cast<uint64_t>(kDim * kDim * 8));
+  ASSERT_TRUE(big.Submit(SimpleTask(in, out, AddOneKernel())).ok());
+  ASSERT_TRUE(executor.Execute(big).ok());
+  EXPECT_TRUE(*executor.FetchData(big, out) == data::Matrix(kDim, kDim, 2.0));
+
+  const std::vector<pid_t> after = WorkerPids(executor, kWorkers, page);
+  ASSERT_TRUE(DistinctWorkers(after, kWorkers));
+  for (const pid_t pid : small) {
+    EXPECT_TRUE(std::find(after.begin(), after.end(), pid) == after.end())
+        << "worker " << pid << " survived the plane's replacement";
+  }
+  munmap(page, sizeof(PidPage));
+}
+
+// No worker outlives its executor: the resident workers are children
+// until the executor is destroyed, which reaps every one of them.
+TEST(MultiProcExecutorTest, DestroyingTheExecutorReapsItsWorkers) {
+  TaskGraph graph;
+  const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+  const DataId out = graph.AddData(static_cast<uint64_t>(32));
+  ASSERT_TRUE(graph.Submit(SimpleTask(in, out, AddOneKernel())).ok());
+  {
+    MultiProcExecutor executor(ProcOptions(2));
+    ASSERT_TRUE(executor.Execute(graph).ok());
+    EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), 0)
+        << "the workers should stay up between runs";
+  }
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD) << "a worker outlived its executor";
+}
+
+// Execute is not reentrant on one executor: a second call while a run
+// is in flight is refused, and the first run is unaffected.
+TEST(MultiProcExecutorTest, ConcurrentExecuteOnOneExecutorIsRefused) {
+  void* page = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* gate = new (page) std::atomic<int>(0);  // 1 = entered, 2 = open
+  MultiProcExecutor executor(ProcOptions(2));
+  TaskGraph warm;
+  const DataId warm_in = warm.AddData(data::Matrix(2, 2, 0.0));
+  const DataId warm_out = warm.AddData(static_cast<uint64_t>(32));
+  ASSERT_TRUE(warm.Submit(SimpleTask(warm_in, warm_out, AddOneKernel())).ok());
+  ASSERT_TRUE(executor.Execute(warm).ok());  // forks while single-threaded
+
+  TaskGraph blocked;
+  const DataId in = blocked.AddData(data::Matrix(2, 2, 0.0));
+  const DataId out = blocked.AddData(static_cast<uint64_t>(32));
+  ASSERT_TRUE(blocked
+                  .Submit(SimpleTask(
+                      in, out,
+                      BindKernel(
+                          +[](const KernelInputs& inputs,
+                              const KernelOutputs& outputs,
+                              std::atomic<int>* gate) -> Status {
+                            gate->store(1);
+                            while (gate->load() != 2) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(1));
+                            }
+                            *outputs[0] = *inputs[0];
+                            return Status::OK();
+                          },
+                          gate)))
+                  .ok());
+  Result<RunReport> first = Status::Internal("not run");
+  std::thread runner([&] { first = executor.Execute(blocked); });
+  while (gate->load() != 1) std::this_thread::yield();
+  auto second = executor.Execute(warm);
+  gate->store(2);
+  runner.join();
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(second.status().message().find("not reentrant"),
+            std::string::npos);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(*executor.FetchData(blocked, out) == data::Matrix(2, 2, 0.0));
+  munmap(page, 4096);
+}
+
 #if defined(__linux__)
 // fork() without exec from a multi-threaded process inherits other
 // threads' locked mutexes into every worker; Execute must refuse
@@ -540,71 +854,84 @@ bool Exited(pid_t pid) {
 
 // A coordinator killed outright (SIGKILL, as the OOM killer sends)
 // never raises the shutdown flag. Its workers must notice they were
-// re-parented and exit instead of keeping the arena mapped forever.
+// re-parented and exit instead of keeping the arena mapped forever —
+// whether the coordinator dies mid-run or while its resident workers
+// idle between two runs.
 TEST(MultiProcExecutorTest, OrphanedWorkersExitWhenTheCoordinatorDies) {
   constexpr int kWorkers = 2;
   struct Shared {
     std::atomic<int> recorded{0};
     std::atomic<pid_t> pids[kWorkers] = {};
+    std::atomic<int> first_run_done{0};
   };
   void* page = mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   ASSERT_NE(page, MAP_FAILED);
-  auto* shared = new (page) Shared();
 
-  const pid_t coordinator = fork();
-  ASSERT_GE(coordinator, 0);
-  if (coordinator == 0) {
-    // One independent task per worker; each records the pid of the
-    // worker running it, then sleeps past the coordinator's death.
-    TaskGraph graph;
-    for (int i = 0; i < kWorkers; ++i) {
-      const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
-      const DataId out = graph.AddData(static_cast<uint64_t>(32));
-      TaskSpec spec;
-      spec.type = "record_pid";
-      spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
-      spec.kernel = [shared](const std::vector<const data::Matrix*>& inputs,
-                             const std::vector<data::Matrix*>& outputs)
-          -> Status {
-        const int slot = shared->recorded.fetch_add(1);
-        if (slot < kWorkers) shared->pids[slot].store(getpid());
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        *outputs[0] = *inputs[0];
-        return Status::OK();
-      };
-      if (!graph.Submit(std::move(spec)).ok()) _exit(2);
+  for (const bool idle : {false, true}) {
+    SCOPED_TRACE(idle ? "killed between runs" : "killed mid-run");
+    auto* shared = new (page) Shared();
+    const pid_t coordinator = fork();
+    ASSERT_GE(coordinator, 0);
+    if (coordinator == 0) {
+      // One independent task per worker; each records the pid of the
+      // worker running it, then sleeps (past the coordinator's death,
+      // when it dies mid-run).
+      TaskGraph graph;
+      for (int i = 0; i < kWorkers; ++i) {
+        const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+        const DataId out = graph.AddData(static_cast<uint64_t>(32));
+        TaskSpec spec;
+        spec.type = "record_pid";
+        spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
+        spec.kernel = BindKernel(
+            +[](const KernelInputs& inputs, const KernelOutputs& outputs,
+                Shared* shared) -> Status {
+              const int slot = shared->recorded.fetch_add(1);
+              if (slot < kWorkers) shared->pids[slot].store(getpid());
+              std::this_thread::sleep_for(std::chrono::milliseconds(200));
+              *outputs[0] = *inputs[0];
+              return Status::OK();
+            },
+            shared);
+        if (!graph.Submit(std::move(spec)).ok()) _exit(2);
+      }
+      MultiProcExecutor executor(ProcOptions(kWorkers));
+      if (!executor.Execute(graph).ok()) _exit(1);
+      // The plane stays up; idle until killed.
+      shared->first_run_done.store(1);
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
     }
-    MultiProcExecutor executor(ProcOptions(kWorkers));
-    _exit(executor.Execute(graph).ok() ? 0 : 1);
-  }
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (shared->recorded.load() < kWorkers &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  kill(coordinator, SIGKILL);
-  ASSERT_EQ(waitpid(coordinator, nullptr, 0), coordinator);
-  ASSERT_EQ(shared->recorded.load(), kWorkers)
-      << "workers never started their tasks";
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    auto ready = [&] {
+      return idle ? shared->first_run_done.load() != 0
+                  : shared->recorded.load() >= kWorkers;
+    };
+    while (!ready() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    kill(coordinator, SIGKILL);
+    ASSERT_EQ(waitpid(coordinator, nullptr, 0), coordinator);
+    ASSERT_TRUE(ready()) << "workers never started their tasks";
 
-  std::vector<pid_t> survivors;
-  for (const std::atomic<pid_t>& pid : shared->pids) {
-    survivors.push_back(pid.load());
+    std::vector<pid_t> survivors;
+    for (const std::atomic<pid_t>& pid : shared->pids) {
+      survivors.push_back(pid.load());
+    }
+    const auto exit_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!survivors.empty() &&
+           std::chrono::steady_clock::now() < exit_deadline) {
+      std::erase_if(survivors, Exited);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    for (const pid_t pid : survivors) kill(pid, SIGKILL);  // leak nothing
+    EXPECT_TRUE(survivors.empty())
+        << survivors.size() << " orphaned worker(s) still running 2 s after "
+        << "their coordinator was killed";
   }
-  const auto exit_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (!survivors.empty() &&
-         std::chrono::steady_clock::now() < exit_deadline) {
-    std::erase_if(survivors, Exited);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  for (const pid_t pid : survivors) kill(pid, SIGKILL);  // leak nothing
-  EXPECT_TRUE(survivors.empty())
-      << survivors.size() << " orphaned worker(s) still running 2 s after "
-      << "their coordinator was killed";
   munmap(page, 4096);
 }
 #endif  // __linux__

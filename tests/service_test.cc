@@ -56,9 +56,25 @@ class Gate {
   bool open_ = false;
 };
 
+/// Kernel of TaggedGraph.
+Status TaggedCopy(const runtime::KernelInputs& inputs,
+                  const runtime::KernelOutputs& outputs, const char* tag,
+                  std::vector<std::string>* order, std::mutex* order_mu,
+                  Gate* gate, std::atomic<bool>* entered) {
+  if (entered != nullptr) entered->store(true);
+  if (gate != nullptr) gate->Await();
+  if (order != nullptr) {
+    std::lock_guard<std::mutex> lock(*order_mu);
+    order->push_back(tag);
+  }
+  *outputs[0] = *inputs[0];
+  return Status::OK();
+}
+
 /// One-task graph; the kernel optionally records `tag` into `order`
-/// (mutex-protected) and optionally blocks on `gate`.
-TaskGraph TaggedGraph(std::string tag, std::vector<std::string>* order,
+/// (mutex-protected) and optionally blocks on `gate`. The kernel keeps
+/// the pointers, so `tag` is a string literal.
+TaskGraph TaggedGraph(const char* tag, std::vector<std::string>* order,
                       std::mutex* order_mu, Gate* gate = nullptr,
                       std::atomic<bool>* entered = nullptr) {
   TaskGraph graph;
@@ -67,18 +83,8 @@ TaskGraph TaggedGraph(std::string tag, std::vector<std::string>* order,
   TaskSpec spec;
   spec.type = "tagged";
   spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
-  spec.kernel = [tag = std::move(tag), order, order_mu, gate, entered](
-                    const std::vector<const data::Matrix*>& inputs,
-                    const std::vector<data::Matrix*>& outputs) -> Status {
-    if (entered != nullptr) entered->store(true);
-    if (gate != nullptr) gate->Await();
-    if (order != nullptr) {
-      std::lock_guard<std::mutex> lock(*order_mu);
-      order->push_back(tag);
-    }
-    *outputs[0] = *inputs[0];
-    return Status::OK();
-  };
+  spec.kernel =
+      runtime::BindKernel(TaggedCopy, tag, order, order_mu, gate, entered);
   EXPECT_TRUE(graph.Submit(std::move(spec)).ok());
   return graph;
 }
