@@ -8,6 +8,10 @@
 //             thread at 4^2 .. 512^2, the block sizes real graphs use:
 //             us per call and GFLOP/s, median and quartiles over
 //             batches. Pins the fixed per-call cost small blocks pay.
+//   kmeans_shapes — K-means partial_sum per call on one thread, naive
+//             and blocked, same statistics: the end-to-end benchmark's
+//             block (1024 x 32, k = 4), more clusters (k = 10) and a
+//             fuzzer-sized block (16 x 6, k = 4).
 //   scaling — strong scaling of the work-stealing executor over a
 //             wide embarrassingly-parallel matmul DAG, tasks/sec and
 //             parallel efficiency vs the 1-thread run. Target: >= 0.7
@@ -52,8 +56,8 @@ double Now() {
       .count();
 }
 
-data::Matrix RandomMatrix(int64_t n, uint64_t seed) {
-  data::Matrix m(n, n);
+data::Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
+  data::Matrix m(rows, cols);
   uint64_t state = seed * 6364136223846793005ull + 1442695040888963407ull;
   for (int64_t i = 0; i < m.size(); ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -89,8 +93,8 @@ double TimeMultiply(const data::Matrix& a, const data::Matrix& b,
 }
 
 KernelRow RunKernelComparison(int64_t n, int reps) {
-  const data::Matrix a = RandomMatrix(n, 1);
-  const data::Matrix b = RandomMatrix(n, 2);
+  const data::Matrix a = RandomMatrix(n, n, 1);
+  const data::Matrix b = RandomMatrix(n, n, 2);
   KernelRow row;
   row.n = n;
   row.naive_s = TimeMultiply(a, b, data::KernelVariant::kNaive, reps);
@@ -99,52 +103,107 @@ KernelRow RunKernelComparison(int64_t n, int reps) {
   return row;
 }
 
-struct ShapeRow {
-  int64_t n = 0;
+/// Microseconds per call over timed batches, median and quartiles.
+struct CallTimes {
   int64_t calls_per_batch = 0;
   int batches = 0;
-  double us_p25 = 0, us_p50 = 0, us_p75 = 0;  // microseconds per call
+  double us_p25 = 0, us_p50 = 0, us_p75 = 0;
 };
 
-/// Per-call cost of blocked::Multiply on an n x n pair: `batches`
-/// timed batches of back-to-back calls, each batch sized from a
-/// calibration call to last about `batch_s`. Warm: the first calls
-/// are untimed, so one-time set-up is not in the rows. `batches` is
-/// 4k + 1, so the quartiles are exact sample ranks.
-ShapeRow RunShape(int64_t n, int batches, double batch_s) {
+/// Times `call` in `batches` batches of back-to-back calls, each batch
+/// sized from a calibration call to last about `batch_s`. Warm: the
+/// first calls are untimed, so one-time set-up is not in the rows.
+/// `batches` is 4k + 1, so the quartiles are exact sample ranks.
+template <typename Call>
+CallTimes TimeCalls(const Call& call, int batches, double batch_s) {
   TB_CHECK((batches - 1) % 4 == 0) << "batches must be 4k + 1";
-  const data::Matrix a = RandomMatrix(n, 5);
-  const data::Matrix b = RandomMatrix(n, 6);
-  double sink = 0;
-  auto call = [&] {
-    auto c = data::blocked::Multiply(a, b);
-    TB_CHECK_OK(c.status());
-    sink += c->At(0, 0);
-  };
   call();
   const double t0 = Now();
   call();
   const double one = std::max(Now() - t0, 1e-9);
-  ShapeRow row;
-  row.n = n;
-  row.batches = batches;
-  row.calls_per_batch =
+  CallTimes times;
+  times.batches = batches;
+  times.calls_per_batch =
       std::clamp<int64_t>(static_cast<int64_t>(batch_s / one), 1, 1 << 20);
   std::vector<double> us;
   for (int i = 0; i < batches; ++i) {
     const double start = Now();
-    for (int64_t c = 0; c < row.calls_per_batch; ++c) call();
+    for (int64_t c = 0; c < times.calls_per_batch; ++c) call();
     us.push_back((Now() - start) * 1e6 /
-                 static_cast<double>(row.calls_per_batch));
+                 static_cast<double>(times.calls_per_batch));
   }
+  std::sort(us.begin(), us.end());
+  const size_t quarter = static_cast<size_t>(batches - 1) / 4;
+  times.us_p25 = us[quarter];
+  times.us_p50 = us[2 * quarter];
+  times.us_p75 = us[3 * quarter];
+  return times;
+}
+
+struct ShapeRow {
+  int64_t n = 0;
+  CallTimes times;  // microseconds per call
+};
+
+/// Per-call cost of blocked::Multiply on an n x n pair.
+ShapeRow RunShape(int64_t n, int batches, double batch_s) {
+  const data::Matrix a = RandomMatrix(n, n, 5);
+  const data::Matrix b = RandomMatrix(n, n, 6);
+  double sink = 0;
+  ShapeRow row;
+  row.n = n;
+  row.times = TimeCalls(
+      [&] {
+        auto c = data::blocked::Multiply(a, b);
+        TB_CHECK_OK(c.status());
+        sink += c->At(0, 0);
+      },
+      batches, batch_s);
   // Defeat dead-code elimination across the timing loops.
   volatile double keep = sink;
   (void)keep;
-  std::sort(us.begin(), us.end());
-  const size_t quarter = static_cast<size_t>(batches - 1) / 4;
-  row.us_p25 = us[quarter];
-  row.us_p50 = us[2 * quarter];
-  row.us_p75 = us[3 * quarter];
+  return row;
+}
+
+struct KMeansRow {
+  int64_t rows = 0, features = 0, k = 0;
+  CallTimes naive, blocked;  // microseconds per call
+};
+
+/// Per-call cost of both KMeansPartialSum variants on a rows x
+/// features uniform block, the centroids seeded from its first k rows
+/// as algos::BuildKMeans seeds them. Fails if the variants' bytes
+/// differ.
+KMeansRow RunKMeansShape(int64_t rows, int64_t features, int64_t k,
+                         int batches, double batch_s) {
+  const data::Matrix block = RandomMatrix(rows, features, 7);
+  auto centroids = block.Slice(0, 0, k, features);
+  TB_CHECK_OK(centroids.status());
+  auto reference = data::naive::KMeansPartialSum(block, *centroids);
+  auto fast = data::blocked::KMeansPartialSum(block, *centroids);
+  TB_CHECK_OK(reference.status());
+  TB_CHECK_OK(fast.status());
+  TB_CHECK(*reference == *fast) << "blocked partial_sum differs from naive";
+  double sink = 0;
+  auto timed = [&](data::KernelVariant variant) {
+    return TimeCalls(
+        [&] {
+          auto p = variant == data::KernelVariant::kNaive
+                       ? data::naive::KMeansPartialSum(block, *centroids)
+                       : data::blocked::KMeansPartialSum(block, *centroids);
+          TB_CHECK_OK(p.status());
+          sink += p->At(0, features);
+        },
+        batches, batch_s);
+  };
+  KMeansRow row;
+  row.rows = rows;
+  row.features = features;
+  row.k = k;
+  row.naive = timed(data::KernelVariant::kNaive);
+  row.blocked = timed(data::KernelVariant::kBlocked);
+  volatile double keep = sink;
+  (void)keep;
   return row;
 }
 
@@ -170,8 +229,8 @@ struct ScaleRow {
 /// is kernels + scheduling, not serialization.
 TaskGraph MatmulDag(int64_t tasks, int64_t n) {
   TaskGraph graph;
-  const runtime::DataId a = graph.AddData(RandomMatrix(n, 3));
-  const runtime::DataId b = graph.AddData(RandomMatrix(n, 4));
+  const runtime::DataId a = graph.AddData(RandomMatrix(n, n, 3));
+  const runtime::DataId b = graph.AddData(RandomMatrix(n, n, 4));
   for (int64_t t = 0; t < tasks; ++t) {
     const runtime::DataId out =
         graph.AddData(static_cast<uint64_t>(n * n * 8));
@@ -228,6 +287,7 @@ ScaleRow RunDag(const std::string& section, TaskGraph graph, int threads) {
 
 std::string ToJson(const KernelRow& kernel,
                    const std::vector<ShapeRow>& shapes,
+                   const std::vector<KMeansRow>& kmeans_shapes,
                    const std::vector<ScaleRow>& rows, int hw_threads) {
   std::string out = "{\n";
   out += StrFormat(
@@ -243,10 +303,28 @@ std::string ToJson(const KernelRow& kernel,
         "\"us_per_call_p25\": %.4g, \"us_per_call_p50\": %.4g, "
         "\"us_per_call_p75\": %.4g, \"gflops_p25\": %.4g, "
         "\"gflops_p50\": %.4g, \"gflops_p75\": %.4g}%s\n",
-        static_cast<long long>(r.n), static_cast<long long>(r.calls_per_batch),
-        r.batches, r.us_p25, r.us_p50, r.us_p75, Gflops(r.n, r.us_p75),
-        Gflops(r.n, r.us_p50), Gflops(r.n, r.us_p25),
-        i + 1 < shapes.size() ? "," : "");
+        static_cast<long long>(r.n),
+        static_cast<long long>(r.times.calls_per_batch), r.times.batches,
+        r.times.us_p25, r.times.us_p50, r.times.us_p75,
+        Gflops(r.n, r.times.us_p75), Gflops(r.n, r.times.us_p50),
+        Gflops(r.n, r.times.us_p25), i + 1 < shapes.size() ? "," : "");
+  }
+  out += "  ],\n";
+  out += "  \"kmeans_shapes\": [\n";
+  for (size_t i = 0; i < kmeans_shapes.size(); ++i) {
+    const KMeansRow& r = kmeans_shapes[i];
+    out += StrFormat(
+        "    {\"rows\": %lld, \"features\": %lld, \"k\": %lld, "
+        "\"batches\": %d, \"naive_us_per_call_p25\": %.4g, "
+        "\"naive_us_per_call_p50\": %.4g, \"naive_us_per_call_p75\": %.4g, "
+        "\"blocked_us_per_call_p25\": %.4g, "
+        "\"blocked_us_per_call_p50\": %.4g, "
+        "\"blocked_us_per_call_p75\": %.4g, \"speedup_p50\": %.3f}%s\n",
+        static_cast<long long>(r.rows), static_cast<long long>(r.features),
+        static_cast<long long>(r.k), r.blocked.batches, r.naive.us_p25,
+        r.naive.us_p50, r.naive.us_p75, r.blocked.us_p25, r.blocked.us_p50,
+        r.blocked.us_p75, r.naive.us_p50 / r.blocked.us_p50,
+        i + 1 < kmeans_shapes.size() ? "," : "");
   }
   out += "  ],\n";
   // Host metadata: a committed trajectory is only comparable to runs
@@ -324,10 +402,35 @@ int Main(int argc, char** argv) {
     ShapeRow row = RunShape(n, smoke ? 5 : 9, smoke ? 0.002 : 0.05);
     std::printf("%4lld^2 %10lld %12.3f %12.3f %12.3f %10.2f\n",
                 static_cast<long long>(row.n),
-                static_cast<long long>(row.calls_per_batch), row.us_p25,
-                row.us_p50, row.us_p75, Gflops(row.n, row.us_p50));
+                static_cast<long long>(row.times.calls_per_batch),
+                row.times.us_p25, row.times.us_p50, row.times.us_p75,
+                Gflops(row.n, row.times.us_p50));
     std::fflush(stdout);
     shapes.push_back(row);
+  }
+
+  // --- K-means partial_sum per call, naive vs blocked (single thread).
+  std::printf("%-16s %22s %22s %8s\n", "kmeans shape", "naive us p25/50/75",
+              "blocked us p25/50/75", "speedup");
+  std::vector<KMeansRow> kmeans_shapes;
+  struct KMeansShape {
+    int64_t rows, features, k;
+  };
+  for (const KMeansShape& s : {KMeansShape{1024, 32, 4},
+                               KMeansShape{1024, 32, 10},
+                               KMeansShape{16, 6, 4}}) {
+    KMeansRow row = RunKMeansShape(s.rows, s.features, s.k, smoke ? 5 : 9,
+                                   smoke ? 0.002 : 0.05);
+    std::printf("%4lldx%-3lld k=%-4lld %6.2f/%6.2f/%6.2f %6.2f/%6.2f/%6.2f "
+                "%7.2fx\n",
+                static_cast<long long>(row.rows),
+                static_cast<long long>(row.features),
+                static_cast<long long>(row.k), row.naive.us_p25,
+                row.naive.us_p50, row.naive.us_p75, row.blocked.us_p25,
+                row.blocked.us_p50, row.blocked.us_p75,
+                row.naive.us_p50 / row.blocked.us_p50);
+    std::fflush(stdout);
+    kmeans_shapes.push_back(row);
   }
 
   // --- Strong scaling over the wide matmul DAG + tiny-task overhead.
@@ -364,7 +467,8 @@ int Main(int argc, char** argv) {
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   TB_CHECK(f != nullptr) << "cannot open " << out_path;
-  const std::string json = ToJson(kernel, shapes, rows, hw_threads);
+  const std::string json =
+      ToJson(kernel, shapes, kmeans_shapes, rows, hw_threads);
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -1,11 +1,10 @@
 #include "algos/kmeans.h"
 
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/strings.h"
 #include "data/generators.h"
+#include "data/kernels.h"
 #include "perf/calibration.h"
 
 namespace taskbench::algos {
@@ -25,37 +24,8 @@ Status PartialSumKernel(const std::vector<const data::Matrix*>& inputs,
   if (inputs.size() != 2 || outputs.size() != 1) {
     return Status::InvalidArgument("partial_sum expects 2 inputs, 1 output");
   }
-  const data::Matrix& block = *inputs[0];
-  const data::Matrix& centroids = *inputs[1];
-  if (block.cols() != centroids.cols()) {
-    return Status::InvalidArgument(StrFormat(
-        "feature mismatch: block has %lld features, centroids %lld",
-        static_cast<long long>(block.cols()),
-        static_cast<long long>(centroids.cols())));
-  }
-  const int64_t k = centroids.rows();
-  const int64_t n = block.cols();
-  data::Matrix partial(k, n + 1, 0.0);
-  for (int64_t r = 0; r < block.rows(); ++r) {
-    int64_t best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (int64_t c = 0; c < k; ++c) {
-      double dist = 0;
-      for (int64_t f = 0; f < n; ++f) {
-        const double d = block.At(r, f) - centroids.At(c, f);
-        dist += d * d;
-      }
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
-      }
-    }
-    for (int64_t f = 0; f < n; ++f) {
-      partial.At(best, f) += block.At(r, f);
-    }
-    partial.At(best, n) += 1.0;
-  }
-  *outputs[0] = std::move(partial);
+  TB_ASSIGN_OR_RETURN(*outputs[0],
+                      data::KMeansPartialSum(*inputs[0], *inputs[1]));
   return Status::OK();
 }
 

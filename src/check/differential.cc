@@ -349,7 +349,12 @@ DifferentialResult RunDifferential(const WorkloadSpec& spec,
       diverge(config.name, "result count mismatch");
       continue;
     }
-    const bool exact = config.kernels == KernelVariant::kNaive;
+    // K-means runs only variant-independent kernels (blocked
+    // partial_sum reproduces the naive bytes; merge has one variant),
+    // so its blocked legs are bit-exact too. GEMM families keep the
+    // tolerance: blocked Multiply sums in another order.
+    const bool exact = config.kernels == KernelVariant::kNaive ||
+                       spec.family == Family::kKMeans;
     for (size_t i = 0; i < run.values.size(); ++i) {
       const Matrix& got = run.values[i];
       const Matrix& want = baseline.values[i];

@@ -260,4 +260,10 @@ Matrix Transpose(const Matrix& m) {
              : naive::Transpose(m);
 }
 
+Result<Matrix> KMeansPartialSum(const Matrix& block, const Matrix& centroids) {
+  return DefaultKernelVariant() == KernelVariant::kBlocked
+             ? blocked::KMeansPartialSum(block, centroids)
+             : naive::KMeansPartialSum(block, centroids);
+}
+
 }  // namespace taskbench::data

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "data/kernels.h"
 
 namespace taskbench::data {
 
@@ -95,8 +96,10 @@ double Matrix::Sum() const {
 // Reference kernels (the pre-fast-path implementations). They live
 // here, not in kernels.cc, so they are always compiled with the
 // project's default flags and stay an honest benchmark baseline; the
-// dispatching data::Multiply / data::Add / data::Transpose are in
-// kernels.cc.
+// dispatching data::Multiply / data::Add / data::Transpose /
+// data::KMeansPartialSum are in kernels.cc. On x86-64 the default
+// flags have no FMA, so every multiply and add here rounds on its
+// own, which is what blocked::KMeansPartialSum reproduces.
 namespace naive {
 
 Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
@@ -145,6 +148,43 @@ Matrix Transpose(const Matrix& m) {
     }
   }
   return out;
+}
+
+Result<Matrix> KMeansPartialSum(const Matrix& block, const Matrix& centroids) {
+  if (block.cols() != centroids.cols()) {
+    return Status::InvalidArgument(StrFormat(
+        "feature mismatch: block has %lld features, centroids %lld",
+        static_cast<long long>(block.cols()),
+        static_cast<long long>(centroids.cols())));
+  }
+  if (centroids.rows() == 0 && block.rows() > 0) {
+    return Status::InvalidArgument(
+        StrFormat("no centroids to assign %lld rows to",
+                  static_cast<long long>(block.rows())));
+  }
+  const int64_t k = centroids.rows();
+  const int64_t n = block.cols();
+  Matrix partial(k, n + 1, 0.0);
+  for (int64_t r = 0; r < block.rows(); ++r) {
+    int64_t best = 0;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (int64_t c = 0; c < k; ++c) {
+      double dist = 0;
+      for (int64_t f = 0; f < n; ++f) {
+        const double d = block.At(r, f) - centroids.At(c, f);
+        dist += d * d;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = c;
+      }
+    }
+    for (int64_t f = 0; f < n; ++f) {
+      partial.At(best, f) += block.At(r, f);
+    }
+    partial.At(best, n) += 1.0;
+  }
+  return partial;
 }
 
 }  // namespace naive

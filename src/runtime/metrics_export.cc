@@ -16,6 +16,26 @@ std::string Num(double v) { return StrFormat("%.9g", v); }
 
 }  // namespace
 
+StageHists StageHists::Resolve(obs::MetricsRegistry* registry,
+                               const std::string& type) {
+  StageHists h;
+  h.deserialize =
+      registry->histogram(StrFormat("task.%s.deserialize_s", type.c_str()));
+  h.compute = registry->histogram(StrFormat("task.%s.compute_s", type.c_str()));
+  h.serialize =
+      registry->histogram(StrFormat("task.%s.serialize_s", type.c_str()));
+  h.duration =
+      registry->histogram(StrFormat("task.%s.duration_s", type.c_str()));
+  return h;
+}
+
+void StageHists::Record(const TaskRecord& rec) const {
+  deserialize->Record(rec.stages.deserialize);
+  compute->Record(rec.stages.parallel_fraction);
+  serialize->Record(rec.stages.serialize);
+  duration->Record(rec.duration());
+}
+
 void StreamMetricsJson(const RunReport& report,
                        const obs::MetricsRegistry* registry,
                        std::ostream& out) {

@@ -8,10 +8,29 @@
 #include "runtime/metrics.h"
 
 namespace taskbench::obs {
+class Histogram;
 class MetricsRegistry;
 }
 
 namespace taskbench::runtime {
+
+/// One task type's stage histograms, which both real executors record
+/// every completed task into: task.<type>.deserialize_s, .compute_s,
+/// .serialize_s and .duration_s. Resolve them once per type and run;
+/// a record is then four histogram updates, with no name formatting
+/// or lookup.
+struct StageHists {
+  obs::Histogram* deserialize = nullptr;
+  obs::Histogram* compute = nullptr;
+  obs::Histogram* serialize = nullptr;
+  obs::Histogram* duration = nullptr;
+
+  /// Finds or creates the four histograms of `type` in `registry`.
+  static StageHists Resolve(obs::MetricsRegistry* registry,
+                            const std::string& type);
+  /// Records one completed task's stage times and duration.
+  void Record(const TaskRecord& rec) const;
+};
 
 /// Streams the run-metrics JSON document:
 ///

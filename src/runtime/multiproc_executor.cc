@@ -11,12 +11,14 @@
 #include <span>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "runtime/invariant_check.h"
+#include "runtime/metrics_export.h"
 #include "runtime/spsc_ring.h"
 #include "storage/block_cache.h"
 #include "storage/serializer.h"
@@ -1276,8 +1278,12 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   plane.last_graph = &graph;
   plane.last_run_header = table;
 
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& registry = *options_.metrics;
+  // A per-run registry in the context scopes the instruments to this
+  // run; the executor-wide RunOptions registry is the default.
+  obs::MetricsRegistry* const metrics_sink =
+      ctx.metrics != nullptr ? ctx.metrics : options_.metrics;
+  if (metrics_sink != nullptr) {
+    obs::MetricsRegistry& registry = *metrics_sink;
     registry.gauge("pool.procs")->Set(num_workers);
     registry.gauge("pool.domains")->Set(topo.num_domains());
     if (retries > 0) registry.counter("pool.retries")->Add(retries);
@@ -1304,16 +1310,11 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       registry.counter("cache.invalidations")->Add(invalidations);
       registry.gauge("cache.peak_bytes")->SetMax(static_cast<double>(peak));
     }
+    std::unordered_map<std::string_view, StageHists> stage_hists;
     for (const TaskRecord& rec : records) {
-      registry
-          .histogram(StrFormat("task.%s.deserialize_s", rec.type.c_str()))
-          ->Record(rec.stages.deserialize);
-      registry.histogram(StrFormat("task.%s.compute_s", rec.type.c_str()))
-          ->Record(rec.stages.parallel_fraction);
-      registry.histogram(StrFormat("task.%s.serialize_s", rec.type.c_str()))
-          ->Record(rec.stages.serialize);
-      registry.histogram(StrFormat("task.%s.duration_s", rec.type.c_str()))
-          ->Record(rec.duration());
+      auto [it, inserted] = stage_hists.try_emplace(rec.type);
+      if (inserted) it->second = StageHists::Resolve(&registry, rec.type);
+      it->second.Record(rec);
     }
   }
 

@@ -17,6 +17,7 @@
 #include "hw/topology.h"
 #include "obs/metrics.h"
 #include "runtime/invariant_check.h"
+#include "runtime/metrics_export.h"
 #include "runtime/sharded_value_store.h"
 #include "runtime/work_stealing_queue.h"
 #include "storage/block_cache.h"
@@ -52,14 +53,6 @@ std::string KeyFor(uint64_t scope, DataId id) {
 /// parks on the condition variable.
 constexpr int kStealSweepsBeforePark = 4;
 
-/// Pre-resolved per-task-type stage histograms (one set per worker).
-struct StageHists {
-  obs::Histogram* deserialize = nullptr;
-  obs::Histogram* compute = nullptr;
-  obs::Histogram* serialize = nullptr;
-  obs::Histogram* duration = nullptr;
-};
-
 /// One worker's private telemetry. Workers record into their own
 /// registry with no synchronization whatsoever; the registries are
 /// merged into the caller's after the threads join.
@@ -70,19 +63,6 @@ struct WorkerTelemetry {
   obs::Counter* parks = nullptr;
   std::vector<StageHists> types;  ///< index-aligned with the type list
 };
-
-StageHists ResolveStageHists(obs::MetricsRegistry* registry,
-                             const std::string& type) {
-  StageHists h;
-  h.deserialize =
-      registry->histogram(StrFormat("task.%s.deserialize_s", type.c_str()));
-  h.compute = registry->histogram(StrFormat("task.%s.compute_s", type.c_str()));
-  h.serialize =
-      registry->histogram(StrFormat("task.%s.serialize_s", type.c_str()));
-  h.duration =
-      registry->histogram(StrFormat("task.%s.duration_s", type.c_str()));
-  return h;
-}
 
 /// Serializes `m` straight into the store's slot for `key`: one pass.
 Status WriteBlock(storage::BlockStorage& store, const std::string& key,
@@ -355,7 +335,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       wt->parks = wt->registry.counter("pool.parks");
       wt->types.reserve(type_names.size());
       for (const std::string& type : type_names) {
-        wt->types.push_back(ResolveStageHists(&wt->registry, type));
+        wt->types.push_back(StageHists::Resolve(&wt->registry, type));
       }
       worker_telemetry.push_back(std::move(wt));
     }
@@ -671,12 +651,8 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     }
     if (wt != nullptr) {
       wt->tasks->Add(1);
-      const TaskRecord& rec = records[static_cast<size_t>(id)];
-      const StageHists& h = wt->types[task_type_idx[static_cast<size_t>(id)]];
-      h.deserialize->Record(rec.stages.deserialize);
-      h.compute->Record(rec.stages.parallel_fraction);
-      h.serialize->Record(rec.stages.serialize);
-      h.duration->Record(rec.duration());
+      wt->types[task_type_idx[static_cast<size_t>(id)]].Record(
+          records[static_cast<size_t>(id)]);
     }
     int64_t released = 0;
     for (TaskId succ : graph.task(id).successors) {

@@ -1,9 +1,12 @@
 #include "data/kernels.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -223,6 +226,226 @@ TEST(KernelsTest, DispatchFollowsSelectedVariant) {
   for (int64_t i = 0; i < reference->size(); ++i) {
     EXPECT_EQ(via_naive->data()[i], reference->data()[i]);
     EXPECT_EQ(via_blocked->data()[i], fast->data()[i]);
+  }
+}
+
+// blocked::KMeansPartialSum against the reference loop, byte for
+// byte: row counts around the 8-row tile (none, ragged, one and two
+// full tiles, many), feature counts that the tile never splits (none
+// too: every distance is 0, so every row joins cluster 0), and cluster
+// counts around the 4-lane centroid tile.
+TEST(KernelsTest, KMeansPartialSumBlockedBytesEqualNaive) {
+  for (const int64_t rows : {0, 1, 7, 8, 9, 15, 16, 1024, 1031}) {
+    for (const int64_t features : {0, 1, 3, 6, 32, 33}) {
+      for (const int64_t k : {1, 2, 3, 4, 5, 8, 9, 13}) {
+        const Matrix block = RandomMatrix(rows, features, 7000 + rows);
+        const Matrix centroids = RandomMatrix(k, features, 8000 + k);
+        auto reference = naive::KMeansPartialSum(block, centroids);
+        auto fast = blocked::KMeansPartialSum(block, centroids);
+        ASSERT_TRUE(reference.ok() && fast.ok());
+        ASSERT_EQ(reference->rows(), k);
+        ASSERT_EQ(reference->cols(), features + 1);
+        EXPECT_TRUE(SameBytes(*fast, *reference))
+            << rows << " rows x " << features << " features, k = " << k;
+      }
+    }
+  }
+}
+
+// Rows drawn near the centroids, so each cluster receives rows and the
+// partial's counts and sums are all exercised, not only cluster 0's.
+Matrix RowsNearCentroids(const Matrix& centroids, int64_t rows,
+                         uint64_t seed) {
+  const Matrix noise = RandomMatrix(rows, centroids.cols(), seed);
+  Matrix block(rows, centroids.cols());
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t f = 0; f < centroids.cols(); ++f) {
+      block.At(r, f) = centroids.At(r % centroids.rows(), f) +
+                       0.1 * noise.At(r, f);
+    }
+  }
+  return block;
+}
+
+// Rows equidistant, in exact arithmetic, from every centroid: each
+// centroid is a cyclic shift of one base vector and each row is
+// constant, so a row's k distances add up the same squares in k
+// different orders. Rounding alone picks the winner, so the assignment
+// is a fingerprint of the operation sequence: a kernel that sums the
+// features in another order, or fuses a multiply-add, sends some rows
+// elsewhere. Random rows almost never come this close to a tie.
+TEST(KernelsTest, KMeansPartialSumRoundingDecidesNearTies) {
+  for (const int64_t features : {7, 32, 33}) {
+    for (const int64_t k : {4, 9}) {
+      const Matrix base = RandomMatrix(1, features, 9600 + features);
+      Matrix centroids(k, features);
+      for (int64_t c = 0; c < k; ++c) {
+        for (int64_t f = 0; f < features; ++f) {
+          centroids.At(c, f) = base.At(0, (f + c) % features);
+        }
+      }
+      const Matrix values = RandomMatrix(1031, 1, 9700 + k);
+      Matrix block(1031, features);
+      for (int64_t r = 0; r < block.rows(); ++r) {
+        for (int64_t f = 0; f < features; ++f) {
+          block.At(r, f) = values.At(r, 0);
+        }
+      }
+      auto reference = naive::KMeansPartialSum(block, centroids);
+      auto fast = blocked::KMeansPartialSum(block, centroids);
+      ASSERT_TRUE(reference.ok() && fast.ok());
+      EXPECT_TRUE(SameBytes(*fast, *reference))
+          << features << " features, k = " << k;
+      // Rounding, not the tie rule, decided: rows left cluster 0.
+      int receiving = 0;
+      for (int64_t c = 0; c < k; ++c) {
+        if (reference->At(c, features) > 0) ++receiving;
+      }
+      EXPECT_GE(receiving, 2) << features << " features, k = " << k;
+    }
+  }
+}
+
+// Duplicate centroids tie on every distance: the lowest index wins, so
+// the later copies receive nothing. Both within one 4-lane tile and
+// across tiles.
+TEST(KernelsTest, KMeansPartialSumTieGoesToTheLowestIndex) {
+  Matrix centroids = RandomMatrix(9, 5, 9100);
+  for (int64_t f = 0; f < 5; ++f) {
+    centroids.At(2, f) = centroids.At(1, f);  // same tile as 1
+    centroids.At(6, f) = centroids.At(1, f);  // the next tile
+    centroids.At(8, f) = centroids.At(4, f);  // third tile, copy of 4
+  }
+  const Matrix block = RowsNearCentroids(centroids, 37, 9101);
+  auto reference = naive::KMeansPartialSum(block, centroids);
+  auto fast = blocked::KMeansPartialSum(block, centroids);
+  ASSERT_TRUE(reference.ok() && fast.ok());
+  EXPECT_TRUE(SameBytes(*fast, *reference));
+  EXPECT_GT(fast->At(1, 5), 0.0);
+  EXPECT_GT(fast->At(4, 5), 0.0);
+  EXPECT_EQ(fast->At(2, 5), 0.0);
+  EXPECT_EQ(fast->At(6, 5), 0.0);
+  EXPECT_EQ(fast->At(8, 5), 0.0);
+}
+
+// NaN and infinite inputs: a NaN distance never wins, so a row whose
+// distances are all NaN joins cluster 0 and poisons its sums; a NaN
+// centroid receives no rows; an infinite feature makes every distance
+// +inf, which never wins either. Each case on its own, then mixed.
+TEST(KernelsTest, KMeansPartialSumNaNAndInfinityMatchNaive) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Matrix base_centroids = RandomMatrix(6, 4, 9200);
+  const Matrix base_block = RowsNearCentroids(base_centroids, 19, 9201);
+  struct Case {
+    const char* name;
+    std::vector<std::pair<int64_t, int64_t>> block_cells;
+    std::vector<std::pair<int64_t, int64_t>> centroid_cells;
+    double value;
+  };
+  const std::vector<Case> cases = {
+      {"NaN in a row", {{3, 2}}, {}, nan},
+      {"NaN in a centroid", {}, {{1, 0}}, nan},
+      {"NaN rows in full and ragged tiles", {{0, 1}, {9, 3}, {17, 0}}, {}, nan},
+      {"+inf in a row", {{5, 1}, {16, 2}}, {}, inf},
+      {"-inf in a row", {{2, 0}}, {}, -inf},
+      {"+inf in a centroid", {}, {{4, 3}}, inf},
+      {"-inf in every centroid", {}, {{0, 0}, {1, 1}, {2, 2}, {3, 3},
+                                      {4, 0}, {5, 1}}, -inf},
+  };
+  for (const Case& c : cases) {
+    Matrix block = base_block;
+    Matrix centroids = base_centroids;
+    for (const auto& [r, f] : c.block_cells) block.At(r, f) = c.value;
+    for (const auto& [r, f] : c.centroid_cells) centroids.At(r, f) = c.value;
+    auto reference = naive::KMeansPartialSum(block, centroids);
+    auto fast = blocked::KMeansPartialSum(block, centroids);
+    ASSERT_TRUE(reference.ok() && fast.ok()) << c.name;
+    EXPECT_TRUE(SameBytes(*fast, *reference)) << c.name;
+  }
+  // A row of NaNs has no distance that wins: it goes to cluster 0.
+  Matrix block = base_block;
+  for (int64_t f = 0; f < 4; ++f) block.At(10, f) = nan;
+  auto fast = blocked::KMeansPartialSum(block, base_centroids);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_TRUE(std::isnan(fast->At(0, 0)));
+  for (int64_t c = 1; c < 6; ++c) EXPECT_FALSE(std::isnan(fast->At(c, 0)));
+  // A centroid with a NaN feature is never the nearest.
+  Matrix centroids = base_centroids;
+  centroids.At(3, 2) = nan;
+  fast = blocked::KMeansPartialSum(base_block, centroids);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_EQ(fast->At(3, 4), 0.0);
+}
+
+TEST(KernelsTest, KMeansPartialSumDispatchFollowsSelectedVariant) {
+  const Matrix centroids = RandomMatrix(5, 7, 9300);
+  const Matrix block = RowsNearCentroids(centroids, 45, 9301);
+  auto reference = naive::KMeansPartialSum(block, centroids);
+  ASSERT_TRUE(reference.ok());
+  SetDefaultKernelVariant(KernelVariant::kNaive);
+  auto via_naive = KMeansPartialSum(block, centroids);
+  SetDefaultKernelVariant(KernelVariant::kBlocked);
+  auto via_blocked = KMeansPartialSum(block, centroids);
+  ASSERT_TRUE(via_naive.ok() && via_blocked.ok());
+  EXPECT_TRUE(SameBytes(*via_naive, *reference));
+  EXPECT_TRUE(SameBytes(*via_blocked, *reference));
+}
+
+TEST(KernelsTest, KMeansPartialSumRejectsBadShapes) {
+  for (const KernelVariant variant :
+       {KernelVariant::kNaive, KernelVariant::kBlocked}) {
+    SetDefaultKernelVariant(variant);
+    auto mismatch = KMeansPartialSum(Matrix(4, 3), Matrix(2, 5));
+    ASSERT_FALSE(mismatch.ok());
+    EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(mismatch.status().message(),
+              "feature mismatch: block has 3 features, centroids 5");
+    // Rows with no centroid to join are rejected, not written past
+    // the empty partial; no rows and no centroids is an empty partial.
+    auto no_centroids = KMeansPartialSum(Matrix(4, 3), Matrix(0, 3));
+    ASSERT_FALSE(no_centroids.ok());
+    EXPECT_EQ(no_centroids.status().code(), StatusCode::kInvalidArgument);
+    auto empty = KMeansPartialSum(Matrix(0, 3), Matrix(0, 3));
+    ASSERT_TRUE(empty.ok());
+    EXPECT_EQ(empty->rows(), 0);
+    EXPECT_EQ(empty->cols(), 4);
+  }
+  SetDefaultKernelVariant(KernelVariant::kBlocked);
+}
+
+// The kernel keeps no state between calls: two threads cycling
+// through shapes reproduce the single-thread bytes.
+TEST(KernelsTest, KMeansPartialSumConcurrentThreadsMatchSingleThreadBytes) {
+  struct Shape {
+    int64_t rows, features, k;
+  };
+  const std::vector<Shape> shapes = {
+      {1024, 32, 4}, {16, 6, 4}, {15, 2, 3}, {1031, 33, 13}, {9, 5, 2}};
+  std::vector<Matrix> blocks, centroids, expected;
+  for (const Shape& s : shapes) {
+    centroids.push_back(RandomMatrix(s.k, s.features, 9400 + s.k));
+    blocks.push_back(RowsNearCentroids(centroids.back(), s.rows, 9500));
+    auto p = naive::KMeansPartialSum(blocks.back(), centroids.back());
+    ASSERT_TRUE(p.ok());
+    expected.push_back(std::move(*p));
+  }
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t step = 0; step < kRounds * shapes.size(); ++step) {
+        const size_t i = (step + static_cast<size_t>(t) * 2) % shapes.size();
+        auto p = blocked::KMeansPartialSum(blocks[i], centroids[i]);
+        if (!p.ok() || !SameBytes(*p, expected[i])) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 

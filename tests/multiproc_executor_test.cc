@@ -629,6 +629,42 @@ TEST(MultiProcExecutorTest, BlockCacheNeverServesThePreviousRunsBlock) {
   EXPECT_EQ(second_lookups, first_lookups);
 }
 
+// A run given its own registry in the RunContext records its
+// instruments there, as the thread pool does, and leaves the
+// executor-wide RunOptions registry untouched: pool gauges, one stage
+// sample per task and, with the block cache on, the cache counters.
+TEST(MultiProcExecutorTest, PerRunMetricsSinkReceivesTheRunsInstruments) {
+  for (const bool cache : {false, true}) {
+    obs::MetricsRegistry executor_wide;
+    RunOptions options = ProcOptions(2);
+    options.metrics = &executor_wide;
+    options.block_cache = cache;
+    MultiProcExecutor executor(options);
+    TaskGraph graph;
+    const DataId shared = graph.AddData(data::Matrix(4, 4, 1.0));
+    constexpr int kTasks = 6;
+    for (int i = 0; i < kTasks; ++i) {
+      const DataId out = graph.AddData(static_cast<uint64_t>(128));
+      ASSERT_TRUE(graph.Submit(SimpleTask(shared, out, AddOneKernel())).ok());
+    }
+    obs::MetricsRegistry per_run;
+    RunContext ctx;
+    ctx.metrics = &per_run;
+    auto report = executor.Execute(graph, ctx);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    EXPECT_TRUE(executor_wide.empty()) << "cache " << cache;
+    EXPECT_EQ(per_run.gauge("pool.procs")->value(), 2);
+    EXPECT_EQ(per_run.histogram("task.simple.duration_s")->count(), kTasks);
+    EXPECT_EQ(per_run.histogram("task.simple.compute_s")->count(), kTasks);
+    if (cache) {
+      const int64_t misses = per_run.counter("cache.misses")->value();
+      EXPECT_GE(misses, 1);
+      EXPECT_EQ(misses + per_run.counter("cache.hits")->value(), kTasks);
+    }
+  }
+}
+
 // A run that loses a worker, a cancelled run and a run whose retry
 // budget runs out each give up the plane; the next Execute on the same
 // executor forks a fresh one and runs on all W workers.
