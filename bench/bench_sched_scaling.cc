@@ -7,27 +7,45 @@
 // Shapes:
 //   wide  — N independent tasks (maximum ready-set pressure),
 //   deep  — one N-task chain (maximum event-path pressure),
-//   grid  — W lanes x N/W levels (both pressures at once).
+//   grid  — W lanes x N/W levels (both pressures at once),
+//   study — one single-threaded pass over the paper's factor study
+//           (analysis::CorrelationSampleConfigs, graph builds included),
+//           the simulator's heaviest real caller.
 //
-// Emits machine-readable JSON (default BENCH_sched_scaling.json) so
-// future PRs have a perf trajectory to compare against.
+// Every row is timed after one untimed warm-up run: the median and
+// quartiles of 5 timed runs (1 under --smoke). Simulated makespans and
+// event counts are deterministic and must repeat on every run.
+//
+// Emits machine-readable JSON (default BENCH_sched_scaling.json) with
+// the host metadata, so later changes have a perf trajectory to
+// compare against.
 //
 // Usage: bench_sched_scaling [--smoke] [--large] [--sizes=10000,...]
 //                            [--out=BENCH_sched_scaling.json]
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "analysis/experiment.h"
+#include "analysis/factor_space.h"
 #include "common/args.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "hw/cluster.h"
+#include "hw/topology.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/task_graph.h"
+
+#ifndef TB_BENCH_BUILD_TYPE
+#define TB_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace taskbench::bench {
 namespace {
@@ -109,57 +127,138 @@ TaskGraph GridGraph(int64_t n) {
   return graph;
 }
 
-struct Row {
-  std::string shape;
-  int64_t tasks = 0;
-  std::string policy;
+/// One timed run: wall seconds plus the deterministic outputs that
+/// must repeat on every run.
+struct Sample {
   double wall_s = 0;
   double makespan = 0;
   uint64_t sim_events = 0;
-  double events_per_s = 0;
-  double decisions_per_s = 0;
+  int64_t tasks = 0;
 };
 
-Row RunOne(const std::string& shape, int64_t n, SchedulingPolicy policy) {
-  TaskGraph graph = shape == "wide"   ? WideGraph(n)
-                    : shape == "deep" ? DeepGraph(n)
-                                      : GridGraph(n);
-  runtime::RunOptions options;
-  options.storage = hw::StorageArchitecture::kLocalDisk;
-  options.policy = policy;
-  runtime::SimulatedExecutor executor(hw::MinotauroCluster(), options);
+struct Row {
+  std::string shape;
+  std::string policy;
+  int runs = 0;
+  int64_t tasks = 0;
+  double wall_p25 = 0, wall_p50 = 0, wall_p75 = 0;
+  double makespan = 0;
+  uint64_t sim_events = 0;
+};
 
-  const auto t0 = std::chrono::steady_clock::now();
-  auto report = executor.Execute(graph);
-  const auto t1 = std::chrono::steady_clock::now();
-  TB_CHECK_OK(report.status());
-
+/// Runs `once` untimed, then `runs` timed times; the row holds the
+/// median and quartiles of the wall times (exact sample ranks when
+/// runs is 4k + 1).
+Row Measure(const std::string& shape, const std::string& policy, int runs,
+            const std::function<Sample()>& once) {
+  const Sample warm = once();
+  std::vector<double> wall;
+  for (int i = 0; i < runs; ++i) {
+    const Sample s = once();
+    TB_CHECK(s.makespan == warm.makespan && s.sim_events == warm.sim_events)
+        << shape << "/" << policy << ": a rerun changed the simulation";
+    wall.push_back(s.wall_s);
+  }
+  std::sort(wall.begin(), wall.end());
+  const size_t quarter = (wall.size() - 1) / 4;
   Row row;
   row.shape = shape;
-  row.tasks = graph.num_tasks();
-  row.policy = ToString(policy);
-  row.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  row.makespan = report->makespan;
-  row.sim_events = report->sim_events;
-  const double wall = row.wall_s > 0 ? row.wall_s : 1e-9;
-  row.events_per_s = static_cast<double>(row.sim_events) / wall;
-  row.decisions_per_s = static_cast<double>(row.tasks) / wall;
+  row.policy = policy;
+  row.runs = runs;
+  row.tasks = warm.tasks;
+  row.wall_p25 = wall[quarter];
+  row.wall_p50 = wall[(wall.size() - 1) / 2];
+  row.wall_p75 = wall[wall.size() - 1 - quarter];
+  row.makespan = warm.makespan;
+  row.sim_events = warm.sim_events;
   return row;
 }
 
+double Seconds(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+Row RunShape(const std::string& shape, const TaskGraph& graph,
+             SchedulingPolicy policy, int runs) {
+  runtime::RunOptions options;
+  options.storage = hw::StorageArchitecture::kLocalDisk;
+  options.policy = policy;
+  const runtime::SimulatedExecutor executor(hw::MinotauroCluster(), options);
+  return Measure(shape, ToString(policy), runs, [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto report = executor.Execute(graph);
+    Sample s;
+    s.wall_s = Seconds(t0);
+    TB_CHECK_OK(report.status());
+    s.makespan = report->makespan;
+    s.sim_events = report->sim_events;
+    s.tasks = graph.num_tasks();
+    return s;
+  });
+}
+
+/// One pass over the factor study on this thread: every sample config
+/// built and simulated in order, as bench_e2e's sim-study calls do.
+/// The makespan is the sum over configs; GPU-OOM configs add none.
+Row RunStudy(int runs) {
+  const std::vector<analysis::ExperimentConfig> configs =
+      analysis::CorrelationSampleConfigs();
+  return Measure("study", "per-config", runs, [&] {
+    Sample s;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const analysis::ExperimentConfig& config : configs) {
+      auto result = analysis::RunExperiment(config);
+      TB_CHECK_OK(result.status());
+      s.makespan += result->makespan;
+      s.sim_events += result->report.sim_events;
+      s.tasks += static_cast<int64_t>(result->report.records.size());
+    }
+    s.wall_s = Seconds(t0);
+    return s;
+  });
+}
+
+double PerSecond(double count, double wall_s) {
+  return count / (wall_s > 0 ? wall_s : 1e-9);
+}
+
+void PrintRow(const Row& r) {
+  std::printf("%-6s %10lld %16s %10.4f [%.4f, %.4f] %12llu %14.0f %14.0f\n",
+              r.shape.c_str(), static_cast<long long>(r.tasks),
+              r.policy.c_str(), r.wall_p50, r.wall_p25, r.wall_p75,
+              static_cast<unsigned long long>(r.sim_events),
+              PerSecond(static_cast<double>(r.sim_events), r.wall_p50),
+              PerSecond(static_cast<double>(r.tasks), r.wall_p50));
+  std::fflush(stdout);
+}
+
 std::string ToJson(const std::vector<Row>& rows) {
-  std::string out = "[\n";
+  std::string out = "{\n";
+  // Host metadata: a committed trajectory is only comparable to runs
+  // on a like host, so say what produced it.
+  out += StrFormat("  \"hardware_threads\": %u,\n",
+                   std::max(1u, std::thread::hardware_concurrency()));
+  out += StrFormat("  \"cpu_model\": \"%s\",\n", hw::HostCpuModel().c_str());
+  out += StrFormat("  \"numa_domains\": %d,\n",
+                   hw::DetectTopology().num_domains());
+  out += StrFormat("  \"build_type\": \"%s\",\n", TB_BENCH_BUILD_TYPE);
+  out += "  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out += StrFormat(
-        "  {\"shape\": \"%s\", \"tasks\": %lld, \"policy\": \"%s\", "
-        "\"wall_s\": %.6f, \"makespan_s\": %.6f, \"sim_events\": %llu, "
-        "\"events_per_s\": %.1f, \"decisions_per_s\": %.1f}%s\n",
+        "    {\"shape\": \"%s\", \"tasks\": %lld, \"policy\": \"%s\", "
+        "\"runs\": %d, \"wall_s_p25\": %.6f, \"wall_s_p50\": %.6f, "
+        "\"wall_s_p75\": %.6f, \"makespan_s\": %.6f, \"sim_events\": %llu, "
+        "\"events_per_s_p50\": %.1f, \"decisions_per_s_p50\": %.1f}%s\n",
         r.shape.c_str(), static_cast<long long>(r.tasks), r.policy.c_str(),
-        r.wall_s, r.makespan, static_cast<unsigned long long>(r.sim_events),
-        r.events_per_s, r.decisions_per_s, i + 1 < rows.size() ? "," : "");
+        r.runs, r.wall_p25, r.wall_p50, r.wall_p75, r.makespan,
+        static_cast<unsigned long long>(r.sim_events),
+        PerSecond(static_cast<double>(r.sim_events), r.wall_p50),
+        PerSecond(static_cast<double>(r.tasks), r.wall_p50),
+        i + 1 < rows.size() ? "," : "");
   }
-  out += "]\n";
+  out += "  ]\n}\n";
   return out;
 }
 
@@ -186,28 +285,30 @@ int Main(int argc, char** argv) {
   } else {
     sizes = {10'000, 100'000};
   }
+  const bool smoke = args.GetBool("smoke", false).value_or(false);
+  const int runs = smoke ? 1 : 5;
   const std::string out_path =
       args.GetString("out", "BENCH_sched_scaling.json");
 
-  std::printf("%-6s %10s %16s %10s %12s %14s %14s\n", "shape", "tasks",
-              "policy", "wall_s", "sim_events", "events/s", "decisions/s");
+  std::printf("%-6s %10s %16s %10s %18s %12s %14s %14s\n", "shape", "tasks",
+              "policy", "wall_s p50", "[p25, p75]", "sim_events", "events/s",
+              "decisions/s");
   std::vector<Row> rows;
   for (int64_t n : sizes) {
     for (const char* shape : {"wide", "deep", "grid"}) {
+      const TaskGraph graph = std::string(shape) == "wide"   ? WideGraph(n)
+                              : std::string(shape) == "deep" ? DeepGraph(n)
+                                                             : GridGraph(n);
       for (auto policy : {SchedulingPolicy::kTaskGenerationOrder,
                           SchedulingPolicy::kDataLocality,
                           SchedulingPolicy::kCostModel}) {
-        const Row row = RunOne(shape, n, policy);
-        std::printf("%-6s %10lld %16s %10.3f %12llu %14.0f %14.0f\n",
-                    row.shape.c_str(), static_cast<long long>(row.tasks),
-                    row.policy.c_str(), row.wall_s,
-                    static_cast<unsigned long long>(row.sim_events),
-                    row.events_per_s, row.decisions_per_s);
-        std::fflush(stdout);
-        rows.push_back(row);
+        rows.push_back(RunShape(shape, graph, policy, runs));
+        PrintRow(rows.back());
       }
     }
   }
+  rows.push_back(RunStudy(runs));
+  PrintRow(rows.back());
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   TB_CHECK(f != nullptr) << "cannot open " << out_path;

@@ -1,8 +1,11 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -76,6 +79,39 @@ const hw::SlotIndex& SlotsFor(const SchedulerView& view, Processor p) {
   return p == Processor::kCpu ? *view.cpu_slots : *view.gpu_slots;
 }
 
+size_t NumInputs(const TaskGraph& graph, TaskId id) {
+  size_t n = 0;
+  for (const Param& p : graph.task(id).spec.params) {
+    if (p.dir != Dir::kOut) ++n;
+  }
+  return n;
+}
+
+/// The one tally computation: writes `id`'s input-bytes-per-node
+/// tally to `out` (room for NumInputs(graph, id) entries) — sorted by
+/// node ascending, duplicate nodes merged, nodes holding none of the
+/// inputs absent — and returns its entry count.
+size_t ComputeTally(const TaskGraph& graph, const std::vector<int>& data_home,
+                    TaskId id, std::pair<int, uint64_t>* out) {
+  size_t n = 0;
+  for (const Param& p : graph.task(id).spec.params) {
+    if (p.dir == Dir::kOut) continue;
+    const int home = data_home[static_cast<size_t>(p.data)];
+    if (home >= 0) out[n++] = {home, graph.data(p.data).bytes};
+  }
+  std::sort(out, out + n,
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t merged = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (merged > 0 && out[merged - 1].first == out[i].first) {
+      out[merged - 1].second += out[i].second;
+    } else {
+      out[merged++] = out[i];
+    }
+  }
+  return merged;
+}
+
 /// Locality-weighted node pick shared by the data-locality and
 /// cost-model policies: among free nodes, the one holding the most of
 /// `id`'s input bytes; ties (including the all-zero case) go to the
@@ -87,27 +123,14 @@ const hw::SlotIndex& SlotsFor(const SchedulerView& view, Processor p) {
 int PickLocalityNode(const SchedulerView& view, TaskId id,
                      const hw::SlotIndex& slots) {
   std::vector<std::pair<int, uint64_t>> scratch;
-  const std::vector<std::pair<int, uint64_t>>* tally;
+  LocalityCache::Tally tally;
   if (view.locality != nullptr) {
-    tally = &view.locality->TallyFor(id);
+    tally = view.locality->TallyFor(id);
   } else {
-    for (const Param& p : view.graph->task(id).spec.params) {
-      if (p.dir == Dir::kOut) continue;
-      const int home = (*view.data_home)[static_cast<size_t>(p.data)];
-      if (home >= 0) scratch.emplace_back(home, view.graph->data(p.data).bytes);
-    }
-    std::sort(scratch.begin(), scratch.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    size_t out = 0;
-    for (size_t i = 0; i < scratch.size(); ++i) {
-      if (out > 0 && scratch[out - 1].first == scratch[i].first) {
-        scratch[out - 1].second += scratch[i].second;
-      } else {
-        scratch[out++] = scratch[i];
-      }
-    }
-    scratch.resize(out);
-    tally = &scratch;
+    scratch.resize(NumInputs(*view.graph, id));
+    tally = LocalityCache::Tally(
+        scratch.data(),
+        ComputeTally(*view.graph, *view.data_home, id, scratch.data()));
   }
 
   // Seed with the first free node (the lowest free node id) and its
@@ -116,13 +139,13 @@ int PickLocalityNode(const SchedulerView& view, TaskId id,
   int best_node = slots.FirstFreeNode();
   TB_CHECK(best_node >= 0);
   uint64_t best_bytes = 0;
-  for (const auto& [node, bytes] : *tally) {
+  for (const auto& [node, bytes] : tally) {
     if (node == best_node) {
       best_bytes = bytes;
       break;
     }
   }
-  for (const auto& [node, bytes] : *tally) {
+  for (const auto& [node, bytes] : tally) {
     if (node >= slots.num_nodes() || slots.free_at(node) <= 0) continue;
     if (bytes > best_bytes || (bytes == best_bytes && node < best_node)) {
       best_node = node;
@@ -138,71 +161,65 @@ LocalityCache::LocalityCache(const TaskGraph& graph,
                              const std::vector<int>* data_home)
     : graph_(graph), data_home_(data_home) {
   TB_CHECK(data_home_ != nullptr);
-  consumers_.resize(static_cast<size_t>(graph.num_data()));
+  const auto num_tasks = static_cast<size_t>(graph.num_tasks());
+  const auto num_data = static_cast<size_t>(graph.num_data());
+  // Count first, then fill: the reader index and the tally ranges are
+  // each one flat array.
+  consumer_begin_.assign(num_data + 1, 0);
+  tally_begin_.assign(num_tasks + 1, 0);
+  size_t max_inputs = 0;
   for (TaskId t = 0; t < graph.num_tasks(); ++t) {
+    const size_t inputs = NumInputs(graph, t);
+    tally_begin_[static_cast<size_t>(t) + 1] =
+        tally_begin_[static_cast<size_t>(t)] + inputs;
+    max_inputs = std::max(max_inputs, inputs);
     for (const Param& p : graph.task(t).spec.params) {
-      if (p.dir == Dir::kOut) continue;
-      consumers_[static_cast<size_t>(p.data)].push_back(t);
-    }
-  }
-  tally_.resize(static_cast<size_t>(graph.num_tasks()));
-  dirty_.assign(static_cast<size_t>(graph.num_tasks()), true);
-}
-
-const std::vector<std::pair<int, uint64_t>>& LocalityCache::TallyFor(
-    TaskId id) {
-  const auto t = static_cast<size_t>(id);
-  if (dirty_[t]) {
-    auto& tally = tally_[t];
-    tally.clear();
-    for (const Param& p : graph_.task(id).spec.params) {
-      if (p.dir == Dir::kOut) continue;
-      const int home = (*data_home_)[static_cast<size_t>(p.data)];
-      if (home >= 0) tally.emplace_back(home, graph_.data(p.data).bytes);
-    }
-    std::sort(tally.begin(), tally.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    // Merge duplicate nodes in place.
-    size_t out = 0;
-    for (size_t i = 0; i < tally.size(); ++i) {
-      if (out > 0 && tally[out - 1].first == tally[i].first) {
-        tally[out - 1].second += tally[i].second;
-      } else {
-        tally[out++] = tally[i];
+      if (p.dir != Dir::kOut) {
+        ++consumer_begin_[static_cast<size_t>(p.data) + 1];
       }
     }
-    tally.resize(out);
-    dirty_[t] = false;
   }
-  return tally_[t];
+  for (size_t d = 0; d < num_data; ++d) {
+    consumer_begin_[d + 1] += consumer_begin_[d];
+  }
+  consumers_.resize(consumer_begin_[num_data]);
+  std::vector<size_t> next(consumer_begin_.begin(), consumer_begin_.end() - 1);
+  for (TaskId t = 0; t < graph.num_tasks(); ++t) {
+    for (const Param& p : graph.task(t).spec.params) {
+      if (p.dir != Dir::kOut) {
+        consumers_[next[static_cast<size_t>(p.data)]++] = t;
+      }
+    }
+  }
+  tally_.resize(tally_begin_[num_tasks]);
+  tally_size_.assign(num_tasks, 0);
+  dirty_.assign(num_tasks, 1);
+  scratch_.resize(max_inputs);
+}
+
+LocalityCache::Tally LocalityCache::TallyFor(TaskId id) {
+  const auto t = static_cast<size_t>(id);
+  std::pair<int, uint64_t>* entries = tally_.data() + tally_begin_[t];
+  if (dirty_[t] != 0) {
+    tally_size_[t] = static_cast<uint32_t>(
+        ComputeTally(graph_, *data_home_, id, entries));
+    dirty_[t] = 0;
+  }
+  return Tally(entries, tally_size_[t]);
 }
 
 void LocalityCache::OnDataHomeChanged(DataId d) {
-  for (TaskId t : consumers_[static_cast<size_t>(d)]) {
-    dirty_[static_cast<size_t>(t)] = true;
+  const auto ds = static_cast<size_t>(d);
+  for (size_t i = consumer_begin_[ds]; i < consumer_begin_[ds + 1]; ++i) {
+    dirty_[static_cast<size_t>(consumers_[i])] = 1;
   }
 }
 
 bool LocalityCache::VerifyTally(TaskId id) {
-  const std::vector<std::pair<int, uint64_t>>& cached = TallyFor(id);
-  std::vector<std::pair<int, uint64_t>> fresh;
-  for (const Param& p : graph_.task(id).spec.params) {
-    if (p.dir == Dir::kOut) continue;
-    const int home = (*data_home_)[static_cast<size_t>(p.data)];
-    if (home >= 0) fresh.emplace_back(home, graph_.data(p.data).bytes);
-  }
-  std::sort(fresh.begin(), fresh.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t out = 0;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    if (out > 0 && fresh[out - 1].first == fresh[i].first) {
-      fresh[out - 1].second += fresh[i].second;
-    } else {
-      fresh[out++] = fresh[i];
-    }
-  }
-  fresh.resize(out);
-  return fresh == cached;
+  const Tally cached = TallyFor(id);
+  const size_t n = ComputeTally(graph_, *data_home_, id, scratch_.data());
+  return std::equal(cached.begin(), cached.end(), scratch_.begin(),
+                    scratch_.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 std::unique_ptr<Scheduler> MakeScheduler(SchedulingPolicy policy) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,18 +25,24 @@ namespace taskbench::runtime {
 /// bytes they already hold. Rebuilding that tally from scratch on
 /// every visit (the legacy std::map per decision) is wasted work: a
 /// task's tally only changes when one of *its* inputs moves. The
-/// cache keeps one flat node-ascending (node, bytes) vector per task
-/// and a reverse datum→consumers index; a data-home change dirties
-/// exactly the consuming tasks' entries.
+/// cache keeps every task's node-ascending (node, bytes) tally in one
+/// flat array, each task's range sized once to its input count, and a
+/// flat reverse datum→consumers index; a data-home change dirties
+/// exactly the consuming tasks' entries. Nothing allocates after
+/// construction.
 class LocalityCache {
  public:
+  using Tally = std::span<const std::pair<int, uint64_t>>;
+
   /// `data_home` is the executor's live placement vector (index =
   /// DataId); the cache reads it lazily on rebuild.
   LocalityCache(const TaskGraph& graph, const std::vector<int>* data_home);
 
   /// Input-bytes-per-node tally of `id`, sorted by node ascending.
-  /// Nodes holding none of the task's inputs are absent.
-  const std::vector<std::pair<int, uint64_t>>& TallyFor(TaskId id);
+  /// Nodes holding none of the task's inputs are absent. The span
+  /// points into the cache; its entries are rewritten when a moved
+  /// input forces the next TallyFor(id) to rebuild them.
+  Tally TallyFor(TaskId id);
 
   /// Invalidates the cached tallies of every task reading `d`. Call
   /// whenever data_home[d] changes.
@@ -52,9 +59,18 @@ class LocalityCache {
  private:
   const TaskGraph& graph_;
   const std::vector<int>* data_home_;
-  std::vector<std::vector<TaskId>> consumers_;  ///< datum -> reader tasks
-  std::vector<std::vector<std::pair<int, uint64_t>>> tally_;
-  std::vector<bool> dirty_;
+  /// Datum d's reader tasks are consumers_[consumer_begin_[d] ..
+  /// consumer_begin_[d + 1]).
+  std::vector<size_t> consumer_begin_;
+  std::vector<TaskId> consumers_;
+  /// Task t's tally is tally_[tally_begin_[t] .. + tally_size_[t]); its
+  /// range holds one entry per input param, the most a tally can need.
+  std::vector<size_t> tally_begin_;
+  std::vector<uint32_t> tally_size_;
+  std::vector<std::pair<int, uint64_t>> tally_;
+  std::vector<char> dirty_;
+  /// VerifyTally's fresh recompute, sized to the largest input count.
+  std::vector<std::pair<int, uint64_t>> scratch_;
 };
 
 /// The incrementally-maintained cluster state a scheduler decides on.

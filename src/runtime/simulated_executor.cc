@@ -330,11 +330,13 @@ class SimState {
  private:
   /// In-flight execution state of one dispatched task attempt.
   /// Instances are pooled and recycled: at most slots-many are live at
-  /// once, the hot loop never allocates one, and the continuation
-  /// lambdas capture {this, raw pointer} — small enough for
-  /// std::function's inline buffer, so per-event heap churn is gone
-  /// too. Inputs and outputs are walked directly over the task's param
-  /// list instead of being copied into per-run vectors.
+  /// once, the hot loop never allocates one, and every continuation
+  /// lambda captures exactly {this, TaskRun*} — 16 trivially copyable
+  /// bytes, inside std::function's inline buffer — so scheduling a
+  /// continuation never allocates either. Whatever else a continuation
+  /// needs lives here (the storage-fault draw in `io_fault`). Inputs
+  /// and outputs are walked directly over the task's param list
+  /// instead of being copied into per-run vectors.
   ///
   /// Cancellation: a fault may kill a run while its next continuation
   /// is already queued in the simulator. The run is then marked
@@ -352,7 +354,11 @@ class SimState {
     double compute_end = 0;
     size_t next_input = 0;   ///< param index of the next input read
     size_t next_output = 0;  ///< param index of the next output write
-    int join_pending = 0;    ///< disk+network legs of a remote read
+    int join_pending = 0;    ///< legs of the input read in flight
+    /// Storage-fault draw of the read or write in flight. An attempt
+    /// has one outstanding at a time, and both legs of a remote read
+    /// share one draw.
+    bool io_fault = false;
     int attempt = 1;         ///< 1-based attempt number of this run
     int inflight = 0;        ///< scheduled continuations not yet fired
     size_t live_index = 0;   ///< position in live_runs_
@@ -732,26 +738,20 @@ class SimState {
       }
     }
     const uint64_t bytes = graph_.data(d).bytes;
-    const bool faulty = DrawStorageFault();
-    auto cont = [this, run, faulty]() {
-      if (!Enter(run)) return;
-      if (faulty) {
-        OnStorageFault(run);
-        return;
-      }
-      ReadNextInput(run);
-    };
+    run->io_fault = DrawStorageFault();
+    auto on_read = [this, run]() { OnInputRead(run); };
     if (options_.storage == hw::StorageArchitecture::kSharedDisk) {
+      run->join_pending = 1;
       ++run->inflight;
-      shared_disk_->Transfer(bytes, std::move(cont));
+      shared_disk_->Transfer(bytes, on_read);
       return;
     }
     int home = data_home_[static_cast<size_t>(d)];
     if (home < 0) home = run->node;  // defensively treat as local
     if (home == run->node) {
+      run->join_pending = 1;
       ++run->inflight;
-      local_disks_[static_cast<size_t>(home)]->Transfer(bytes,
-                                                        std::move(cont));
+      local_disks_[static_cast<size_t>(home)]->Transfer(bytes, on_read);
     } else {
       // Remote block: the home node's disk and the network stream in
       // parallel (pipelined chunks), so the read completes when the
@@ -759,18 +759,21 @@ class SimState {
       // the whole logical Get, so both legs share one draw.
       run->join_pending = 2;
       run->inflight += 2;
-      auto join = [this, run, faulty]() {
-        if (!Enter(run)) return;
-        if (--run->join_pending > 0) return;
-        if (faulty) {
-          OnStorageFault(run);
-          return;
-        }
-        ReadNextInput(run);
-      };
-      local_disks_[static_cast<size_t>(home)]->Transfer(bytes, join);
-      network_->Transfer(bytes, join);
+      local_disks_[static_cast<size_t>(home)]->Transfer(bytes, on_read);
+      network_->Transfer(bytes, on_read);
     }
+  }
+
+  /// Continuation of each leg of an input read; the last leg to land
+  /// moves the attempt on.
+  void OnInputRead(TaskRun* run) {
+    if (!Enter(run)) return;
+    if (--run->join_pending > 0) return;
+    if (run->io_fault) {
+      OnStorageFault(run);
+      return;
+    }
+    ReadNextInput(run);
   }
 
   void Compute(TaskRun* run) {
@@ -835,22 +838,24 @@ class SimState {
       data_home_[static_cast<size_t>(d)] = run->node;
       if (locality_ != nullptr) locality_->OnDataHomeChanged(d);
     }
-    const bool faulty = DrawStorageFault();
-    auto cont = [this, run, faulty]() {
-      if (!Enter(run)) return;
-      if (faulty) {
-        OnStorageFault(run);
-        return;
-      }
-      WriteNextOutput(run);
-    };
+    run->io_fault = DrawStorageFault();
+    auto on_written = [this, run]() { OnOutputWritten(run); };
     ++run->inflight;
     if (options_.storage == hw::StorageArchitecture::kSharedDisk) {
-      shared_disk_->Transfer(bytes, std::move(cont));
+      shared_disk_->Transfer(bytes, on_written);
     } else {
       local_disks_[static_cast<size_t>(run->node)]->Transfer(bytes,
-                                                             std::move(cont));
+                                                             on_written);
     }
+  }
+
+  void OnOutputWritten(TaskRun* run) {
+    if (!Enter(run)) return;
+    if (run->io_fault) {
+      OnStorageFault(run);
+      return;
+    }
+    WriteNextOutput(run);
   }
 
   void FinishTask(TaskRun* run) {

@@ -27,20 +27,39 @@ BandwidthResource::BandwidthResource(Simulator* simulator,
   TB_CHECK(options_.per_op_latency_s >= 0);
 }
 
-void BandwidthResource::Transfer(uint64_t bytes,
-                                 std::function<void()> on_done) {
+void BandwidthResource::Transfer(uint64_t bytes, Callback on_done) {
   TB_CHECK(on_done != nullptr);
-  if (options_.per_op_latency_s > 0) {
-    simulator_->After(options_.per_op_latency_s,
-                      [this, bytes, cb = std::move(on_done)]() mutable {
-                        Admit(bytes, std::move(cb));
-                      });
-  } else {
+  if (options_.per_op_latency_s <= 0) {
     Admit(bytes, std::move(on_done));
+    return;
   }
+  if (pending_count_ == pending_.size()) {
+    // Full ring: unroll it so the oldest transfer sits at index 0,
+    // then double the capacity.
+    std::rotate(pending_.begin(),
+                pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
+                pending_.end());
+    pending_head_ = 0;
+    pending_.resize(std::max<size_t>(4, 2 * pending_.size()));
+  }
+  Pending& slot = pending_[(pending_head_ + pending_count_) % pending_.size()];
+  slot.bytes = bytes;
+  slot.on_done = std::move(on_done);
+  ++pending_count_;
+  simulator_->After(options_.per_op_latency_s, [this] { AdmitPending(); });
 }
 
-void BandwidthResource::Admit(uint64_t bytes, std::function<void()> on_done) {
+void BandwidthResource::AdmitPending() {
+  TB_CHECK(pending_count_ > 0);
+  Pending& oldest = pending_[pending_head_];
+  const uint64_t bytes = oldest.bytes;
+  Callback on_done = std::move(oldest.on_done);
+  pending_head_ = (pending_head_ + 1) % pending_.size();
+  --pending_count_;
+  Admit(bytes, std::move(on_done));
+}
+
+void BandwidthResource::Admit(uint64_t bytes, Callback on_done) {
   total_bytes_ += bytes;
   if (bytes == 0) {
     simulator_->After(0, std::move(on_done));
@@ -48,47 +67,51 @@ void BandwidthResource::Admit(uint64_t bytes, std::function<void()> on_done) {
   }
   // Bring existing flows up to date before the rate changes.
   Reschedule();
-  flows_.push_back(Flow{static_cast<double>(bytes), std::move(on_done)});
-  peak_flows_ = std::max(peak_flows_, static_cast<int>(flows_.size()));
+  remaining_.push_back(static_cast<double>(bytes));
+  on_done_.push_back(std::move(on_done));
+  peak_flows_ = std::max(peak_flows_, active_flows());
   Reschedule();
 }
 
 double BandwidthResource::CurrentRatePerFlow() const {
-  if (flows_.empty()) return 0.0;
+  if (remaining_.empty()) return 0.0;
   const double fair_share =
-      options_.capacity_bps / static_cast<double>(flows_.size());
+      options_.capacity_bps / static_cast<double>(remaining_.size());
   return std::min(fair_share, options_.per_flow_cap_bps);
+}
+
+double BandwidthResource::Sweep(double progressed, double threshold) {
+  double min_remaining = std::numeric_limits<double>::infinity();
+  size_t kept = 0;
+  for (size_t i = 0; i < remaining_.size(); ++i) {
+    const double r = std::max(0.0, remaining_[i] - progressed);
+    if (r <= threshold) {
+      simulator_->After(0, std::move(on_done_[i]));
+      continue;
+    }
+    remaining_[kept] = r;
+    if (kept != i) on_done_[kept] = std::move(on_done_[i]);
+    ++kept;
+    min_remaining = std::min(min_remaining, r);
+  }
+  remaining_.resize(kept);
+  on_done_.resize(kept);
+  return min_remaining;
 }
 
 void BandwidthResource::Reschedule() {
   const SimTime now = simulator_->Now();
   const double elapsed = now - last_update_;
-  if (elapsed > 0 && !flows_.empty()) {
-    const double progressed = elapsed * CurrentRatePerFlow();
-    for (auto& flow : flows_) {
-      flow.remaining_bytes = std::max(0.0, flow.remaining_bytes - progressed);
-    }
-  }
   last_update_ = now;
-
-  // Fire any flows that just finished.
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->remaining_bytes <= kByteEpsilon) {
-      auto cb = std::move(it->on_done);
-      it = flows_.erase(it);
-      simulator_->After(0, std::move(cb));
-    } else {
-      ++it;
-    }
-  }
+  // Every flow moves at the same rate, so each advances by the same
+  // byte count. A live flow holds more than kByteEpsilon, so a zero
+  // advance leaves it bit for bit as it was.
+  const double progressed = elapsed > 0 ? elapsed * CurrentRatePerFlow() : 0.0;
+  const double min_remaining = Sweep(progressed, kByteEpsilon);
 
   ++generation_;
-  if (flows_.empty()) return;
+  if (remaining_.empty()) return;
 
-  double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& flow : flows_) {
-    min_remaining = std::min(min_remaining, flow.remaining_bytes);
-  }
   const double next_completion =
       min_remaining / CurrentRatePerFlow() + kTimeEpsilon;
   // Guard against double-precision starvation: at large simulation
@@ -96,22 +119,14 @@ void BandwidthResource::Reschedule() {
   // in which case the wake event could never advance the clock.
   // The sliver is far below any observable duration — finish it now.
   if (now + next_completion <= now) {
-    for (auto it = flows_.begin(); it != flows_.end();) {
-      if (it->remaining_bytes <= min_remaining + kByteEpsilon) {
-        auto cb = std::move(it->on_done);
-        it = flows_.erase(it);
-        simulator_->After(0, std::move(cb));
-      } else {
-        ++it;
-      }
-    }
+    Sweep(0.0, min_remaining + kByteEpsilon);
     ++generation_;
-    if (flows_.empty()) return;
+    if (remaining_.empty()) return;
     Reschedule();
     return;
   }
   const uint64_t gen = generation_;
-  simulator_->After(next_completion, [this, gen]() { OnWake(gen); });
+  simulator_->After(next_completion, [this, gen] { OnWake(gen); });
 }
 
 void BandwidthResource::OnWake(uint64_t generation) {

@@ -1,10 +1,10 @@
 #ifndef TASKBENCH_SIM_BANDWIDTH_RESOURCE_H_
 #define TASKBENCH_SIM_BANDWIDTH_RESOURCE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -34,8 +34,15 @@ struct BandwidthResourceOptions {
 /// (Section 5.1.2). Used for the shared GPFS-like disk (one global
 /// instance), local disks (one instance per node) and as a building
 /// block for network links.
+///
+/// Transfers still in their per-op latency wait in a FIFO; active
+/// flows sit in contiguous arrays in admission order, and finished
+/// flows fire in that order. docs/SCHED_FAST_PATH.md §4 states the
+/// ordering rules.
 class BandwidthResource {
  public:
+  using Callback = Simulator::Callback;
+
   BandwidthResource(Simulator* simulator, BandwidthResourceOptions options);
 
   BandwidthResource(const BandwidthResource&) = delete;
@@ -44,10 +51,10 @@ class BandwidthResource {
   /// Starts a transfer of `bytes`; `on_done` fires (via the simulator)
   /// when the transfer completes. Zero-byte transfers complete after
   /// the per-op latency only.
-  void Transfer(uint64_t bytes, std::function<void()> on_done);
+  void Transfer(uint64_t bytes, Callback on_done);
 
   /// Number of flows currently being served (excludes latency phase).
-  int active_flows() const { return static_cast<int>(flows_.size()); }
+  int active_flows() const { return static_cast<int>(remaining_.size()); }
 
   /// Total bytes moved through this resource so far.
   uint64_t total_bytes() const { return total_bytes_; }
@@ -58,22 +65,38 @@ class BandwidthResource {
   const BandwidthResourceOptions& options() const { return options_; }
 
  private:
-  struct Flow {
-    double remaining_bytes;
-    std::function<void()> on_done;
+  /// A transfer still in its per-op latency.
+  struct Pending {
+    uint64_t bytes = 0;
+    Callback on_done;
   };
 
-  void Admit(uint64_t bytes, std::function<void()> on_done);
-  /// Advances all flows to Now() at the current rate and reschedules
-  /// the next completion event.
+  /// Latency event: admits the oldest pending transfer. Every latency
+  /// event of one resource has the same delay, so they fire in the
+  /// order they were scheduled — the FIFO's order.
+  void AdmitPending();
+  void Admit(uint64_t bytes, Callback on_done);
+  /// Advances all flows to Now() at the current rate, fires the
+  /// finished ones and schedules the next completion wake.
   void Reschedule();
   /// Fires completions that are due now; invoked by the wake event.
   void OnWake(uint64_t generation);
   double CurrentRatePerFlow() const;
+  /// One pass over the flows in admission order: advances each by
+  /// `progressed` bytes, fires those left with at most `threshold`,
+  /// compacts the rest and returns their smallest remainder (infinity
+  /// when none is left).
+  double Sweep(double progressed, double threshold);
 
   Simulator* simulator_;
   BandwidthResourceOptions options_;
-  std::list<Flow> flows_;
+  // Active flows, parallel arrays in admission order.
+  std::vector<double> remaining_;
+  std::vector<Callback> on_done_;
+  // Latency FIFO: a ring over pending_ (capacity = pending_.size()).
+  std::vector<Pending> pending_;
+  size_t pending_head_ = 0;
+  size_t pending_count_ = 0;
   SimTime last_update_ = 0.0;
   uint64_t generation_ = 0;  // invalidates stale wake events
   uint64_t total_bytes_ = 0;

@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,8 +11,20 @@ namespace taskbench::sim {
 void Simulator::At(SimTime t, Callback cb) {
   TB_CHECK(t >= now_) << "cannot schedule event in the past: t=" << t
                       << " now=" << now_;
-  queue_.push(Event{t, next_seq_++, std::move(cb)});
-  if (queue_.size() > max_pending_) max_pending_ = queue_.size();
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    TB_CHECK(slots_.size() < std::numeric_limits<uint32_t>::max())
+        << "too many pending events";
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  heap_.push_back(Entry{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
+  if (heap_.size() > max_pending_) max_pending_ = heap_.size();
 }
 
 void Simulator::After(SimTime delay, Callback cb) {
@@ -20,27 +34,18 @@ void Simulator::After(SimTime delay, Callback cb) {
 
 SimTime Simulator::Run() {
   stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    // The callback may schedule new events, so pop before invoking.
-    Event ev = queue_.top();
-    queue_.pop();
-    now_ = ev.time;
+  while (!heap_.empty() && !stopped_) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    const Entry next = heap_.back();
+    heap_.pop_back();
+    // The callback may schedule new events (which can reuse this slot
+    // or grow slots_), so it leaves its slot before it runs.
+    Callback cb = std::move(slots_[next.slot]);
+    free_slots_.push_back(next.slot);
+    now_ = next.time;
     ++events_executed_;
-    ev.cb();
+    cb();
   }
-  return now_;
-}
-
-SimTime Simulator::RunUntil(SimTime deadline) {
-  stopped_ = false;
-  while (!queue_.empty() && !stopped_ && queue_.top().time <= deadline) {
-    Event ev = queue_.top();
-    queue_.pop();
-    now_ = ev.time;
-    ++events_executed_;
-    ev.cb();
-  }
-  if (now_ < deadline) now_ = deadline;
   return now_;
 }
 

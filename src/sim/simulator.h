@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace taskbench::sim {
@@ -17,6 +16,15 @@ using SimTime = double;
 /// time fire in insertion order, which keeps runs bit-reproducible.
 /// The simulated cluster executor and the storage/bus contention models
 /// are built on top of this engine.
+///
+/// The queue is a binary heap of plain {time, seq, slot} entries; the
+/// callbacks live in a slot array that is reused as events fire, and
+/// each callback is moved out of its slot once, just before it runs.
+/// A callback that fits std::function's inline buffer (16 bytes of
+/// trivially copyable captures, e.g. {this, pointer}) therefore costs
+/// no allocation from schedule to fire once the arrays have grown to
+/// the run's peak. docs/SCHED_FAST_PATH.md §3–4 has the design and
+/// the ordering rules.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -38,9 +46,6 @@ class Simulator {
   /// Returns the time of the last event executed.
   SimTime Run();
 
-  /// Runs events with time <= `deadline`.
-  SimTime RunUntil(SimTime deadline);
-
   /// Stops Run() after the currently executing event returns.
   void Stop() { stopped_ = true; }
 
@@ -48,7 +53,7 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
 
   /// Number of events currently pending.
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const { return heap_.size(); }
 
   /// High-water mark of the pending-event queue over the run — the
   /// engine-side "queue depth" telemetry the run-metrics export
@@ -56,19 +61,21 @@ class Simulator {
   size_t max_pending_events() const { return max_pending_; }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime time;
     uint64_t seq;
-    Callback cb;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
+    uint32_t slot;  ///< index into slots_
   };
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  /// Heap order: the earliest (time, seq) on top.
+  static bool Later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<Callback> slots_;        ///< callbacks of pending events
+  std::vector<uint32_t> free_slots_;   ///< slots_ indices free for reuse
   SimTime now_ = 0.0;
   size_t max_pending_ = 0;
   uint64_t next_seq_ = 0;

@@ -141,5 +141,75 @@ TEST(BandwidthResourceTest, ContentionScalesMakespanLinearly) {
   }
 }
 
+TEST(BandwidthResourceTest, FlowsFinishingAtOneWakeFireInAdmissionOrder) {
+  // A (150 B) runs alone for 1 s and has 50 B left when B (50 B) and
+  // C (50 B) arrive; all three then share 100 B/s and finish together
+  // at 2.5 s, on one wake. They must fire in admission order, not in
+  // size or reverse order.
+  Simulator sim;
+  BandwidthResource disk(&sim, Opts(100.0, 100.0));
+  std::vector<char> order;
+  disk.Transfer(150, [&] { order.push_back('A'); });
+  sim.At(1.0, [&] {
+    disk.Transfer(50, [&] { order.push_back('B'); });
+    disk.Transfer(50, [&] { order.push_back('C'); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
+  EXPECT_NEAR(sim.Now(), 2.5, kTol);
+}
+
+TEST(BandwidthResourceTest, LatencyPhaseTransfersKeepTheirOwnCallbacks) {
+  // 0.25 s per-op latency, 100 B/s shared. T1 (100 B) and T2 (300 B)
+  // are issued together at t=0 and T3 (50 B) at t=0.1, so all three
+  // wait in the latency phase at once. Processor sharing predicts:
+  //   0.25-0.35  T1, T2 at 50 B/s          -> 95 and 295 B left
+  //   0.35-1.85  T1, T2, T3 at 100/3 B/s   -> T3 done at 1.85
+  //   1.85-2.75  T1, T2 at 50 B/s          -> T1 done at 2.75
+  //   2.75-4.75  T2 alone at 100 B/s       -> T2 done at 4.75
+  Simulator sim;
+  BandwidthResource disk(&sim, Opts(100.0, 100.0, 0.25));
+  std::vector<double> done(3, -1);
+  std::vector<int> order;
+  auto finish = [&](int id) {
+    return [&, id] {
+      EXPECT_LT(done[static_cast<size_t>(id)], 0) << "callback fired twice";
+      done[static_cast<size_t>(id)] = sim.Now();
+      order.push_back(id);
+    };
+  };
+  disk.Transfer(100, finish(0));
+  disk.Transfer(300, finish(1));
+  sim.At(0.1, [&] { disk.Transfer(50, finish(2)); });
+  sim.Run();
+  EXPECT_NEAR(done[0], 2.75, 1e-9);
+  EXPECT_NEAR(done[1], 4.75, 1e-9);
+  EXPECT_NEAR(done[2], 1.85, 1e-9);
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(disk.total_bytes(), 450u);
+  EXPECT_EQ(disk.peak_flows(), 3);
+}
+
+TEST(BandwidthResourceTest, StarvationGuardCompletesFlowsInAdmissionOrder) {
+  // At t = 1e6 s one ULP of the clock is ~1.2e-10 s, while at 1 TB/s
+  // per flow a few bytes take a few picoseconds: the last wake leaves
+  // a remainder whose completion time rounds back to Now(), and the
+  // starvation guard has to finish it. The three flows must all
+  // complete, in admission order, with no wake storm.
+  Simulator sim;
+  BandwidthResource disk(&sim, Opts(1e12, 1e12));
+  std::vector<int> order;
+  sim.At(1e6, [&] {
+    for (int i = 0; i < 3; ++i) {
+      disk.Transfer(123'456'789, [&order, i] { order.push_back(i); });
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(disk.active_flows(), 0);
+  EXPECT_NEAR(sim.Now(), 1e6 + 3 * 123'456'789 / 1e12, 1e-6);
+  EXPECT_LT(sim.events_executed(), 20u);
+}
+
 }  // namespace
 }  // namespace taskbench::sim
