@@ -14,8 +14,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_common.h"
-
+#include "analysis/experiment.h"
+#include "analysis/report.h"
+#include "common/logging.h"
+#include "common/strings.h"
+#include "data/generators.h"
 #include "runtime/fault.h"
 
 namespace tb = taskbench;
@@ -25,6 +28,12 @@ using tb::runtime::FaultEvent;
 using tb::runtime::FaultKind;
 
 namespace {
+
+tb::analysis::ExperimentResult MustRun(const ExperimentConfig& config) {
+  auto result = tb::analysis::RunExperiment(config);
+  TB_CHECK_OK(result.status());
+  return *std::move(result);
+}
 
 ExperimentConfig BaseConfig() {
   ExperimentConfig config;
@@ -55,7 +64,7 @@ void StorageFaultSweep() {
       config.run.storage = storage;
       config.run.faults.storage_fault_rate = rate;
       config.run.faults.seed = 42;
-      const auto result = tb::bench::MustRun(config);
+      const auto result = MustRun(config);
       if (rate == 0.0) baseline = result.makespan;
       table.AddRow(
           {tb::hw::ToString(storage),
@@ -76,7 +85,7 @@ void NodeCrashSweep() {
   std::printf("--- (b) node crashes at makespan/2, local disk ---\n");
   ExperimentConfig fault_free = BaseConfig();
   fault_free.run.storage = tb::hw::StorageArchitecture::kLocalDisk;
-  const double baseline = tb::bench::MustRun(fault_free).makespan;
+  const double baseline = MustRun(fault_free).makespan;
   tb::analysis::TextTable table({"crashed nodes", "makespan", "slowdown",
                                  "recomputed", "lost blocks", "retries"});
   for (int crashes : {0, 1, 2, 4}) {
@@ -89,7 +98,7 @@ void NodeCrashSweep() {
       crash.node = n + 1;
       config.run.faults.events.push_back(crash);
     }
-    const auto result = tb::bench::MustRun(config);
+    const auto result = MustRun(config);
     const tb::runtime::FaultStats& faults = result.report.faults;
     table.AddRow(
         {tb::StrFormat("%d", crashes),
@@ -106,7 +115,7 @@ void DegradedHardware() {
   std::printf("--- (c) degraded hardware, K-means 10 GB 256x1 (GPU) ---\n");
   ExperimentConfig gpu = BaseConfig();
   gpu.processor = tb::Processor::kGpu;
-  const double baseline = tb::bench::MustRun(gpu).makespan;
+  const double baseline = MustRun(gpu).makespan;
   tb::analysis::TextTable table({"fault", "makespan", "slowdown"});
   table.AddRow({"none", tb::StrFormat("%.2f s", baseline), "1.00x"});
 
@@ -115,7 +124,7 @@ void DegradedHardware() {
     auto plan = tb::runtime::FaultPlan::Parse(spec);
     TB_CHECK_OK(plan.status());
     config.run.faults = *plan;
-    const auto result = tb::bench::MustRun(config);
+    const auto result = MustRun(config);
     table.AddRow({spec, tb::StrFormat("%.2f s", result.makespan),
                   tb::StrFormat("%.2fx", result.makespan / baseline)});
   }
@@ -125,10 +134,9 @@ void DegradedHardware() {
 }  // namespace
 
 int main() {
-  tb::bench::PrintHeader(
-      "Fault recovery",
-      "makespan degradation and recovery cost under deterministic "
-      "fault injection (extension; not a paper figure)");
+  std::printf(
+      "Fault recovery: makespan degradation and recovery cost under "
+      "deterministic fault injection (extension; not a paper figure)\n\n");
   StorageFaultSweep();
   NodeCrashSweep();
   DegradedHardware();

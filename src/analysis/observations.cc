@@ -134,12 +134,31 @@ ObservationCheck CheckO4(const std::vector<double>& speedup_by_param) {
   return check;
 }
 
+namespace {
+
+/// Length of `input`'s four series when they share one non-zero
+/// length, else 0: a policy shift over missing or misaligned points
+/// would read as "no shift" and pass O5 and O6 vacuously.
+size_t AlignedLength(const PolicySensitivityInput& input) {
+  const size_t n = input.cpu_gen_order.size();
+  const bool aligned = input.cpu_locality.size() == n &&
+                       input.gpu_gen_order.size() == n &&
+                       input.gpu_locality.size() == n;
+  return aligned ? n : 0;
+}
+
+}  // namespace
+
 ObservationCheck CheckO5(const PolicySensitivityInput& local_disk) {
   ObservationCheck check;
   check.id = "O5";
   check.statement =
       "With local disks, scheduling policy variations barely affect "
       "CPU and GPU execution times";
+  if (AlignedLength(local_disk) == 0) {
+    check.evidence = "insufficient data";
+    return check;
+  }
   const double cpu_shift =
       MeanRelativeShift(local_disk.cpu_gen_order, local_disk.cpu_locality);
   const double gpu_shift =
@@ -158,6 +177,11 @@ ObservationCheck CheckO6(const PolicySensitivityInput& local_disk,
   check.statement =
       "With shared disks, scheduling policy variations affect execution "
       "times more than with local disks (low-complexity tasks)";
+  const size_t points = AlignedLength(local_disk);
+  if (points == 0 || AlignedLength(shared_disk) != points) {
+    check.evidence = "insufficient data";
+    return check;
+  }
   const double local_shift =
       (MeanRelativeShift(local_disk.cpu_gen_order, local_disk.cpu_locality) +
        MeanRelativeShift(local_disk.gpu_gen_order, local_disk.gpu_locality)) /

@@ -56,7 +56,8 @@ ObservationCheck CheckO4(const std::vector<double>& speedup_by_param);
 
 /// O5/O6: policy sensitivity per storage architecture. Each vector
 /// holds the per-block-size parallel-task times for one (processor,
-/// policy) combination; all four vectors are index-aligned.
+/// policy) combination; all four vectors are index-aligned. Empty or
+/// unequal-length series fail the check ("insufficient data").
 struct PolicySensitivityInput {
   std::vector<double> cpu_gen_order;
   std::vector<double> cpu_locality;

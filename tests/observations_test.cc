@@ -106,6 +106,47 @@ TEST(ObservationsTest, O6ComparesSharedVsLocal) {
   EXPECT_FALSE(CheckO6(shared, local).holds);
 }
 
+// A policy shift over no points, or over misaligned points, reads as
+// "no shift"; O5 and O6 must fail like O1-O4 instead of passing.
+TEST(ObservationsTest, O5FailsClosedOnEmptyOrMisalignedSeries) {
+  const auto empty = CheckO5(PolicySensitivityInput{});
+  EXPECT_FALSE(empty.holds);
+  EXPECT_EQ(empty.evidence, "insufficient data");
+
+  PolicySensitivityInput local;
+  local.cpu_gen_order = {100, 200, 300};
+  local.cpu_locality = {160, 350};  // one point short
+  local.gpu_gen_order = {150, 250, 350};
+  local.gpu_locality = {151, 255, 345};
+  const auto misaligned = CheckO5(local);
+  EXPECT_FALSE(misaligned.holds);
+  EXPECT_EQ(misaligned.evidence, "insufficient data");
+}
+
+TEST(ObservationsTest, O6FailsClosedOnEmptyOrMisalignedSide) {
+  PolicySensitivityInput shared;
+  shared.cpu_gen_order = {100, 200};
+  shared.cpu_locality = {133, 266};  // a 25% shift
+  shared.gpu_gen_order = {150, 250};
+  shared.gpu_locality = {200, 333};
+  const auto empty_local = CheckO6(PolicySensitivityInput{}, shared);
+  EXPECT_FALSE(empty_local.holds);
+  EXPECT_EQ(empty_local.evidence, "insufficient data");
+
+  PolicySensitivityInput local = shared;
+  local.cpu_locality = local.cpu_gen_order;
+  local.gpu_locality = local.gpu_gen_order;
+  ASSERT_TRUE(CheckO6(local, shared).holds);
+  shared.gpu_locality.pop_back();
+  EXPECT_FALSE(CheckO6(local, shared).holds);
+  local.cpu_gen_order.push_back(300);
+  local.cpu_locality.push_back(300);
+  local.gpu_gen_order.push_back(350);
+  local.gpu_locality.push_back(350);
+  shared.gpu_locality.push_back(333);
+  EXPECT_FALSE(CheckO6(local, shared).holds);  // sides of unequal length
+}
+
 TEST(ReportTest, TextTableAligns) {
   TextTable table({"block", "cpu", "gpu"});
   table.AddRow({"32", "1.0", "2.0"});

@@ -203,7 +203,8 @@ TEST(PaperShapesTest, Figure11KeyCorrelationSigns) {
   // coefficients.
   // K is kept at 10/100 here: the tiny sample keeps the paper's
   // mostly-low-cluster mix, where the block-size correlation is
-  // positive (the full 200-sample set lives in bench_fig11).
+  // positive (the full 210-config set is BENCH_paper.json's fig11
+  // rows).
   std::vector<ExperimentConfig> configs;
   for (Processor proc : {Processor::kCpu, Processor::kGpu}) {
     for (int64_t g : {4, 8, 16}) configs.push_back(Matmul(g, proc));
@@ -231,8 +232,8 @@ TEST(PaperShapesTest, Figure11KeyCorrelationSigns) {
   // One-hot complements.
   EXPECT_NEAR(rho("processor=CPU", "processor=GPU"), -1.0, 1e-9);
   // The block-size and algorithm-specific-parameter coefficients are
-  // sample-mix sensitive; they are validated on the full ~200-sample
-  // design by bench_fig11_correlation instead.
+  // sample-mix sensitive; BENCH_paper.json's fig11 rows record them
+  // over the full 210-config design instead.
 }
 
 TEST(PaperShapesTest, Figure12FmaFollowsMatmulTrends) {
