@@ -748,7 +748,11 @@ void Figure9b() {
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
-  if (!args.UnknownKeys({"out"}).empty() || !args.positional().empty()) {
+  const Status flags = args.CheckFlags({"out"});
+  if (!flags.ok() || !args.positional().empty()) {
+    if (!flags.ok()) {
+      std::fprintf(stderr, "bench_paper: %s\n", flags.message().c_str());
+    }
     std::fprintf(stderr, "usage: bench_paper [--out=BENCH_paper.json]\n");
     return 2;
   }

@@ -133,6 +133,11 @@ std::string ToJson(const std::vector<Row>& rows, int hw_threads) {
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
+  const Status flags = args.CheckFlags({"out", "workers"}, {"smoke"});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_scaleout: %s\n", flags.message().c_str());
+    return 2;
+  }
   const bool smoke = args.GetBool("smoke", false).value_or(false);
   const std::string out_path = args.GetString("out", "BENCH_scaleout.json");
   const int hw_threads =

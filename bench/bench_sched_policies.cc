@@ -150,6 +150,11 @@ double MakespanOf(const std::vector<Row>& rows, const std::string& workload,
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
+  const Status flags = args.CheckFlags({"out"}, {"smoke"});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_sched_policies: %s\n", flags.message().c_str());
+    return 2;
+  }
   const bool smoke = args.GetBool("smoke", false).value_or(false);
   const std::string out_path =
       args.GetString("out", "BENCH_sched_policies.json");

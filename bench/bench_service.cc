@@ -132,6 +132,12 @@ std::string LatencyJson(const service::LatencySummary& s) {
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
+  const Status flags =
+      args.CheckFlags({"out", "duration", "rate", "runners"}, {"smoke"});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_service: %s\n", flags.message().c_str());
+    return 2;
+  }
   const bool smoke = args.GetBool("smoke", false).value_or(false);
   const double duration_s =
       args.GetDouble("duration", smoke ? 1.0 : 5.0).value_or(5.0);

@@ -181,6 +181,11 @@ std::string ToJson(const std::vector<Row>& rows) {
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
+  const Status flags = args.CheckFlags({"out", "sizes"}, {"smoke", "large"});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_telemetry: %s\n", flags.message().c_str());
+    return 2;
+  }
   std::vector<int64_t> sizes;
   if (args.Has("sizes")) {
     for (const std::string& s : Split(args.GetString("sizes"), ',')) {

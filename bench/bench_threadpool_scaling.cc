@@ -352,6 +352,12 @@ std::string ToJson(const KernelRow& kernel,
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
+  const Status flags = args.CheckFlags({"out", "threads"}, {"smoke"});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_threadpool_scaling: %s\n",
+                 flags.message().c_str());
+    return 2;
+  }
   const bool smoke = args.GetBool("smoke", false).value_or(false);
   const std::string out_path = args.GetString("out", "BENCH_threadpool.json");
   const int hw_threads =

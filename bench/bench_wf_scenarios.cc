@@ -119,6 +119,11 @@ std::string ToJson(const std::vector<Row>& rows, bool smoke) {
 
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
+  const Status flags = args.CheckFlags({"out", "fixtures"}, {"smoke"});
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_wf_scenarios: %s\n", flags.message().c_str());
+    return 2;
+  }
   const bool smoke = args.GetBool("smoke", false).value_or(false);
   const std::string out_path =
       args.GetString("out", "BENCH_wf_scenarios.json");

@@ -150,9 +150,10 @@ RealRun RunReal(const WorkloadSpec& spec, const RealConfig& config) {
     // injected failures each time — exercised through the retry loop.
     faulty = std::make_shared<storage::FaultyStorage>(
         std::make_shared<storage::InMemoryStorage>());
-    // Executor staging writes every initial datum before the worker
-    // pool (and its retry loop) exists, so the put injector must not
-    // fire until staging is done.
+    // The workers stage every initial datum inside the run, and
+    // staging completes before the first task is claimed: the first
+    // initial_puts writes are staging writes, which are never retried,
+    // so the put injector must not fire until they are done.
     int initial_puts = 0;
     for (DataId d = 0; d < built->graph.num_data(); ++d) {
       if (built->graph.data(d).value.has_value()) ++initial_puts;

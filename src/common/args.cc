@@ -1,5 +1,6 @@
 #include "common/args.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -21,7 +22,7 @@ Args Args::Parse(int argc, const char* const* argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       args.options_[body] = argv[++i];
     } else {
-      args.options_[body] = "true";
+      args.options_[body] = "";
     }
   }
   return args;
@@ -77,6 +78,25 @@ std::vector<std::string> Args::UnknownKeys(
     if (!found) unknown.push_back(key);
   }
   return unknown;
+}
+
+Status Args::CheckFlags(const std::vector<std::string>& value_flags,
+                        const std::vector<std::string>& bool_flags) const {
+  for (const auto& [key, value] : options_) {
+    const bool takes_value =
+        std::find(value_flags.begin(), value_flags.end(), key) !=
+        value_flags.end();
+    if (!takes_value && std::find(bool_flags.begin(), bool_flags.end(),
+                                  key) == bool_flags.end()) {
+      return Status::InvalidArgument(
+          StrFormat("unknown flag --%s", key.c_str()));
+    }
+    if (takes_value && value.empty()) {
+      return Status::InvalidArgument(
+          StrFormat("--%s needs a value", key.c_str()));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace taskbench

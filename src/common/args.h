@@ -16,7 +16,8 @@ namespace taskbench {
 class Args {
  public:
   /// Parses argv[1..). `--key=value` and `--key value` both work;
-  /// a bare `--key` is a boolean flag with value "true".
+  /// a bare `--key` has no value: GetBool reads it as true, GetString
+  /// as "", and CheckFlags rejects it for a flag that needs a value.
   static Args Parse(int argc, const char* const* argv);
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -40,6 +41,12 @@ class Args {
   /// Keys that were provided but are not in `known` (typo detection).
   std::vector<std::string> UnknownKeys(
       const std::vector<std::string>& known) const;
+
+  /// InvalidArgument naming the first flag that is in neither list (a
+  /// typo), or that is in `value_flags` but has no value (`--out` with
+  /// nothing after it, or `--out=`). A boolean flag may be bare.
+  Status CheckFlags(const std::vector<std::string>& value_flags,
+                    const std::vector<std::string>& bool_flags = {}) const;
 
  private:
   std::vector<std::string> positional_;

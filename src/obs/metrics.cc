@@ -1,19 +1,25 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/strings.h"
 
 namespace taskbench::obs {
 
-namespace {
-
-int BucketFor(double v) {
-  int exp = 0;
-  std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
-  return std::clamp(exp - Histogram::kMinExp, 0, Histogram::kBuckets - 1);
+int Histogram::BucketFor(double v) {
+  // frexp's exponent (v = m * 2^exp, m in [0.5, 1)) read from the bits:
+  // a normal double's biased exponent E gives exp = E - 1022. A
+  // subnormal (E = 0) reads as -1022 where frexp says at most -1022:
+  // both clamp to bucket 0, far below kMinExp.
+  const int biased = static_cast<int>((std::bit_cast<uint64_t>(v) >> 52) &
+                                      0x7ff);
+  return std::clamp(biased - 1022 - kMinExp, 0, kBuckets - 1);
 }
+
+namespace {
 
 /// Shortest-ish float rendering that is always valid JSON (never
 /// "nan"/"inf" — callers only feed finite values).

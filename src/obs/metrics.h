@@ -47,8 +47,8 @@ class Gauge {
 /// With kMinExp = -34 the range spans ~5.8e-11 .. 1.1e9 — nanoseconds
 /// to decades when recording seconds. Values outside clamp to the
 /// edge buckets; zero and negatives count toward min/sum but no
-/// bucket. Record() is a frexp + two adds: cheap enough for per-task
-/// stage times on million-task DAGs.
+/// bucket. Record() is an exponent-bit extraction and two adds: cheap
+/// enough for per-task stage times on million-task DAGs.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
@@ -63,6 +63,9 @@ class Histogram {
   double max() const { return max_; }
   double mean() const { return count_ > 0 ? sum_ / count_ : 0; }
 
+  /// Bucket of a positive finite `v`: frexp's exponent minus kMinExp,
+  /// clamped to [0, kBuckets), read from the exponent bits.
+  static int BucketFor(double v);
   /// Inclusive upper bound of bucket `i` and its occupancy.
   static double BucketUpperBound(int i);
   int64_t bucket_count(int i) const { return buckets_[i]; }

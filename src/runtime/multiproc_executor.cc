@@ -568,7 +568,8 @@ struct TableLayout {
 };
 
 /// Arena capacity estimate from the graph for block records: one
-/// record per staged initial value plus one per task output write and
+/// record per initial value (an upper bound: a value no task reads is
+/// never staged) plus one per task output write and
 /// one index record per attempt (records are never freed within a
 /// run), each at the datum's registered size plus framing, with 2x
 /// headroom for kernels emitting denser blocks than registered and a
@@ -807,7 +808,8 @@ Result<data::Matrix> MultiProcExecutor::FetchData(const TaskGraph& graph,
   if (plane_ != nullptr && plane_->last_graph == &graph &&
       d < plane_->initial_tag.size()) {
     // A slot still holding its initial tag was never rewritten, and the
-    // graph entry holds those exact bytes.
+    // graph entry holds those exact bytes; so does a slot still at 0
+    // whose initial value no task read (never staged: tag 0 as well).
     const RunView run(plane_->arena, plane_->last_run_header);
     const uint64_t tag = run.directory[id].load(std::memory_order_acquire);
     if (tag != plane_->initial_tag[d]) return ReadBlockAt(plane_->arena, tag);
@@ -876,8 +878,9 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
 
   // ----------------------------------------------------------------
   // Write the run into the reset arena: the run header, the directory
-  // and the task table, then the initial values. Workers are idle, so
-  // nothing reads the arena until the first dispatch publishes it.
+  // and the task table. Workers are idle, so nothing reads the arena
+  // until the first dispatch publishes it. The initial values are
+  // staged later, on dispatch (stage_inputs).
   // ----------------------------------------------------------------
   plane.last_graph = nullptr;  // the reset discards the last run's values
   storage::ShmArena& arena = plane.arena;
@@ -912,20 +915,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     next_arg += spec.kernel.args.size();
   }
 
-  // Stage and publish the initial values. The directory stores
-  // offset+1 so 0 keeps meaning "never written". initial_tag remembers
-  // each publication: records are not reused within a run, so a slot
-  // still holding it after the run was never rewritten.
   plane.initial_tag.assign(static_cast<size_t>(num_data), 0);
-  for (DataId d = 0; d < num_data; ++d) {
-    const DataEntry& entry = graph.data(d);
-    if (!entry.value.has_value()) continue;
-    TB_ASSIGN_OR_RETURN(const uint64_t offset,
-                        StageBlock(arena, *entry.value));
-    plane.initial_tag[static_cast<size_t>(d)] = offset + 1;
-    directory[d].store(offset + 1, std::memory_order_relaxed);
-  }
-
   for (int w = 0; w < num_workers; ++w) {
     new (&plane.cache_stats[w]) CacheStatsSlot();
   }
@@ -936,8 +926,9 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
 
   // ----------------------------------------------------------------
   // Coordinator loop: dependency counting, topology-aware dispatch,
-  // completion draining, liveness. Runs entirely in this thread; no
-  // block bytes ever pass through here.
+  // completion draining, liveness. Runs entirely in this thread; the
+  // only block bytes that pass through here are the initial values it
+  // stages on dispatch.
   // ----------------------------------------------------------------
   const int64_t origin_ns = run_header->origin_ns;
   std::vector<int> remaining(static_cast<size_t>(total), 0);
@@ -985,11 +976,39 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     }
   };
 
+  // Stages and publishes the initial value of each datum task `t`
+  // reads (IN, INOUT) whose directory slot is still 0, so staging
+  // overlaps the tasks already running and a value no task reads is
+  // never staged. The slot, not a per-datum "staged" flag, decides: a
+  // datum an earlier task overwrote (OUT) holds that task's version,
+  // and staging the initial value again would hand a later reader the
+  // stale bytes. The directory stores offset+1, so 0 keeps meaning
+  // "never written"; initial_tag remembers each publication, and since
+  // records are not reused within a run, a slot still holding it after
+  // the run was never rewritten.
+  auto stage_inputs = [&](TaskId t) -> Status {
+    for (const Param& p : graph.task(t).spec.params) {
+      if (p.dir == Dir::kOut) continue;
+      if (directory[p.data].load(std::memory_order_relaxed) != 0) continue;
+      const DataEntry& entry = graph.data(p.data);
+      if (!entry.value.has_value()) continue;
+      Result<uint64_t> offset = StageBlock(arena, *entry.value);
+      if (!offset.ok()) {
+        return offset.status().WithContext(StrFormat(
+            "staging datum %lld", static_cast<long long>(p.data)));
+      }
+      plane.initial_tag[static_cast<size_t>(p.data)] = *offset + 1;
+      directory[p.data].store(*offset + 1, std::memory_order_release);
+    }
+    return Status::OK();
+  };
+
   // Places one ready task: prefer the least-loaded worker in the
   // domain owning most of the task's input bytes; a remote worker
   // wins only when strictly less loaded (2x inflight + 1 domain
   // penalty), which is the process-level version of the thread pool's
-  // domain-biased steal order.
+  // domain-biased steal order. The task's initial inputs are staged
+  // once a worker can take it; a staging failure fails the run.
   auto dispatch = [&](TaskId t, int attempt) -> bool {
     int preferred = -1;
     if (topo.num_domains() > 1) {
@@ -1026,6 +1045,10 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       }
     }
     if (best < 0) return false;  // every live worker is at capacity
+    if (Status staged = stage_inputs(t); !staged.ok()) {
+      fail_run(std::move(staged));
+      return false;
+    }
     TaskMsg msg;
     msg.task = t;
     msg.attempt = attempt;

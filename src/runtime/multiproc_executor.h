@@ -33,15 +33,15 @@ namespace taskbench::runtime {
 ///  - Dispatch is per-worker lock-free SPSC rings in the control
 ///    segment: a task ring in, a completion ring out, with futex
 ///    doorbells so an idle side sleeps until it is rung. The coordinator
-///    never touches block bytes during a run; workers serialize results
-///    straight into the arena (`Serializer` wire format, same as the
-///    storage path) and *stage* them — the coordinator performs the
-///    directory stores when it consumes the completion, so a block
-///    still moves between workers without being copied through the
-///    coordinator, but publication is atomic with completion: a
-///    worker dying after staging leaves the directory untouched and a
-///    retried attempt re-reads pre-attempt values (INOUT tasks are
-///    never double-applied).
+///    touches no block bytes but the initial values it stages on
+///    dispatch; workers serialize results straight into the arena
+///    (`Serializer` wire format, same as the storage path) and *stage*
+///    them — the coordinator performs the directory stores when it
+///    consumes the completion, so a block still moves between workers
+///    without being copied through the coordinator, but publication is
+///    atomic with completion: a worker dying after staging leaves the
+///    directory untouched and a retried attempt re-reads pre-attempt
+///    values (INOUT tasks are never double-applied).
 ///  - Placement is topology-aware: workers are striped over the NUMA
 ///    domains (and optionally pinned), and a ready task prefers a
 ///    worker in the domain that produced most of its input bytes —
@@ -90,11 +90,15 @@ class MultiProcExecutor final : public Executor {
   static bool Supported();
 
   /// Runs the graph across the worker processes. Initial data values
-  /// are taken from the graph; results stay in the arena, read them
-  /// with FetchData. The graph's entries are never written. Cancellation
-  /// (RunContext::cancel) is polled on every coordinator scheduling
-  /// pass; RunContext::scope is ignored (one run at a time owns the
-  /// arena).
+  /// are taken from the graph and staged on dispatch: the coordinator
+  /// serializes a task's initial inputs into the arena just before it
+  /// sends the task, while earlier tasks run, and a value no task
+  /// reads is never staged. Staging time shows as worker idle time,
+  /// inside the run's timeline. Results stay in the arena, read them
+  /// with FetchData. The graph's entries are never written.
+  /// Cancellation (RunContext::cancel) is polled on every coordinator
+  /// scheduling pass; RunContext::scope is ignored (one run at a time
+  /// owns the arena).
   Result<RunReport> Execute(TaskGraph& graph, const RunContext& ctx);
   Result<RunReport> Execute(TaskGraph& graph) {
     return Execute(graph, RunContext{});

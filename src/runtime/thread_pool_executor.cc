@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -37,16 +38,6 @@ int64_t NanosSince(Clock::time_point origin) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               origin)
       .count();
-}
-
-/// Storage key of datum `id` inside run scope `scope`. Scope 0 is the
-/// legacy batch namespace ("d7", byte-identical keys to every prior
-/// release); nonzero scopes prefix the submission id so concurrent
-/// service runs through one shared store stay disjoint.
-std::string KeyFor(uint64_t scope, DataId id) {
-  if (scope == 0) return StrFormat("d%lld", static_cast<long long>(id));
-  return StrFormat("s%llu.d%lld", static_cast<unsigned long long>(scope),
-                   static_cast<long long>(id));
 }
 
 /// Full steal sweeps over the other workers' deques before a worker
@@ -86,6 +77,22 @@ Result<data::Matrix> ReadBlock(const storage::BlockStorage& store,
 }
 
 }  // namespace
+
+std::string StorageKey(uint64_t scope, DataId id) {
+  // Either number takes at most 20 characters (a uint64 in digits, an
+  // int64 with its sign), so "s<scope>.d<id>" fits in 43.
+  constexpr int kMaxNumber = 20;
+  char buf[2 * kMaxNumber + 3];
+  char* p = buf;
+  if (scope != 0) {
+    *p++ = 's';
+    p = std::to_chars(p, p + kMaxNumber, scope).ptr;
+    *p++ = '.';
+  }
+  *p++ = 'd';
+  p = std::to_chars(p, p + kMaxNumber, id).ptr;
+  return std::string(buf, p);
+}
 
 ThreadPoolExecutor::ThreadPoolExecutor(
     RunOptions options, std::shared_ptr<storage::BlockStorage> store)
@@ -209,7 +216,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   if (options_.use_storage) {
     keys.reserve(static_cast<size_t>(graph.num_data()));
     for (DataId d = 0; d < graph.num_data(); ++d) {
-      keys.push_back(KeyFor(ctx.scope, d));
+      keys.push_back(StorageKey(ctx.scope, d));
     }
   }
 
@@ -232,18 +239,18 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   } scope_cleaner{
       options_.use_storage && ctx.scope != 0 ? store_.get() : nullptr, &keys};
 
-  // Stage the initial values: into storage (serialized) or the
-  // memory-mode store.
+  // The data with initial values, which the workers stage inside the
+  // run (stage_initial_values below), claiming chunks of this list:
+  // about eight per worker, so a wide graph's thousands of tiny blocks
+  // cost a few dozen claims, not one contended atomic each.
+  std::vector<DataId> initial;
   for (DataId d = 0; d < graph.num_data(); ++d) {
-    DataEntry& entry = graph.mutable_data(d);
-    if (!entry.value.has_value()) continue;
-    if (options_.use_storage) {
-      TB_RETURN_IF_ERROR(
-          WriteBlock(*store_, keys[static_cast<size_t>(d)], *entry.value));
-    } else {
-      values.Put(d, std::make_shared<data::Matrix>(*entry.value));
-    }
+    if (graph.data(d).value.has_value()) initial.push_back(d);
   }
+  const size_t stage_chunk = std::max<size_t>(
+      1, initial.size() / (8 * static_cast<size_t>(num_workers)));
+  std::atomic<size_t> next_stage{0};
+  std::atomic<size_t> unstaged{initial.size()};
 
   std::vector<TaskRecord> records(static_cast<size_t>(total));
   const Clock::time_point origin = Clock::now();
@@ -602,31 +609,68 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     pool.park_cv.notify_all();
   };
 
-  // First worker to observe the cancellation flag publishes the
-  // kCancelled failure and wakes everyone; done() then drains the
-  // remaining workers (parked ones included) without starting tasks.
-  auto cancel_run = [&] {
+  // The first failure published wins; everyone is woken, and done()
+  // then drains the remaining workers (parked ones included) without
+  // starting tasks.
+  auto fail_with = [&](Status status) {
     {
       std::lock_guard<std::mutex> lock(pool.fault_mu);
       if (!pool.failed.load(std::memory_order_seq_cst)) {
-        pool.failure = Status::Cancelled("run cancelled");
+        pool.failure = std::move(status);
         pool.failed.store(true, std::memory_order_seq_cst);
       }
     }
     wake_all();
   };
-
+  auto cancel_run = [&] { fail_with(Status::Cancelled("run cancelled")); };
   auto fail_run = [&](Status status, TaskId id, int attempt) {
-    {
-      std::lock_guard<std::mutex> lock(pool.fault_mu);
-      if (!pool.failed.load(std::memory_order_seq_cst)) {
-        pool.failure = std::move(status).WithContext(
-            StrFormat("task %lld attempt %d", static_cast<long long>(id),
-                      attempt));
-        pool.failed.store(true, std::memory_order_seq_cst);
+    fail_with(std::move(status).WithContext(StrFormat(
+        "task %lld attempt %d", static_cast<long long>(id), attempt)));
+  };
+
+  // Stages the initial values inside the run: each worker claims
+  // chunks of `initial` and writes them (serialized into storage, or
+  // copied into the memory-mode store) until the list runs out, then
+  // waits for the other workers' last chunks. No task is claimed
+  // before every value is staged, so every staging write draws on a
+  // fault-injecting store's budget before any task's write does. A
+  // staging failure names the datum and is never retried. Returns
+  // false when the run failed or was cancelled meanwhile.
+  auto stage_initial_values = [&]() -> bool {
+    const auto stopped = [&] {
+      if (pool.failed.load(std::memory_order_seq_cst)) return true;
+      if (!cancel_requested()) return false;
+      cancel_run();
+      return true;
+    };
+    for (;;) {
+      if (stopped()) return false;
+      const size_t begin =
+          next_stage.fetch_add(stage_chunk, std::memory_order_relaxed);
+      if (begin >= initial.size()) break;
+      const size_t end = std::min(initial.size(), begin + stage_chunk);
+      for (size_t i = begin; i < end; ++i) {
+        const DataId d = initial[i];
+        const data::Matrix& value = *graph.data(d).value;
+        if (!options_.use_storage) {
+          values.Put(d, std::make_shared<data::Matrix>(value));
+          continue;
+        }
+        Status status =
+            WriteBlock(*store_, keys[static_cast<size_t>(d)], value);
+        if (!status.ok()) {
+          fail_with(std::move(status).WithContext(StrFormat(
+              "staging datum %lld", static_cast<long long>(d))));
+          return false;
+        }
       }
+      unstaged.fetch_sub(end - begin, std::memory_order_acq_rel);
     }
-    wake_all();
+    while (unstaged.load(std::memory_order_acquire) != 0) {
+      if (stopped()) return false;
+      std::this_thread::yield();
+    }
+    return true;
   };
 
   // Winner-side publication shared by the normal path and hedged
@@ -708,6 +752,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
                   : nullptr;
     WorkStealingQueue<TaskId>& own = pool.queues[static_cast<size_t>(
         worker_id)];
+    if (!stage_initial_values()) return;
     for (;;) {
       if (done()) return;
       if (cancel_requested()) {
@@ -984,12 +1029,13 @@ Result<data::Matrix> ThreadPoolExecutor::FetchData(const TaskGraph& graph,
             fetch_cache_->Get(static_cast<uint64_t>(id), 0)) {
       return *hit;
     }
-    TB_ASSIGN_OR_RETURN(data::Matrix m, ReadBlock(*store_, KeyFor(0, id)));
+    TB_ASSIGN_OR_RETURN(data::Matrix m,
+                        ReadBlock(*store_, StorageKey(0, id)));
     storage::BlockCache::ValuePtr cached =
         fetch_cache_->Put(static_cast<uint64_t>(id), 0, std::move(m));
     return *cached;
   }
-  return ReadBlock(*store_, KeyFor(0, id));
+  return ReadBlock(*store_, StorageKey(0, id));
 }
 
 }  // namespace taskbench::runtime

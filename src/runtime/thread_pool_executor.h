@@ -1,6 +1,7 @@
 #ifndef TASKBENCH_RUNTIME_THREAD_POOL_EXECUTOR_H_
 #define TASKBENCH_RUNTIME_THREAD_POOL_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,6 +16,13 @@
 #include "storage/block_storage.h"
 
 namespace taskbench::runtime {
+
+/// Storage key of datum `id` inside run scope `scope`: "d7" in scope 0,
+/// the batch namespace that FetchData reads, and "s3.d7" in scope 3,
+/// so concurrent service runs through one shared store stay disjoint.
+/// FileStorage paths and the service's scope cleanup use these exact
+/// bytes.
+std::string StorageKey(uint64_t scope, DataId id);
 
 /// Executes a TaskGraph for real on host threads.
 ///
@@ -50,10 +58,14 @@ class ThreadPoolExecutor final : public Executor {
   ThreadPoolExecutor(RunOptions options,
                      std::shared_ptr<storage::BlockStorage> store = nullptr);
 
-  /// Runs the graph. Initial data values are taken from the graph;
-  /// results are fetched with FetchData afterwards. Fails once a
-  /// task's retry budget is exhausted (remaining tasks are not
-  /// started).
+  /// Runs the graph. Initial data values are taken from the graph and
+  /// staged inside the run: the workers split them and write them in
+  /// parallel (a one-thread run stages them on the caller), and no
+  /// task starts until all are staged, so staging time falls between
+  /// the timeline origin and the first task. A staging failure fails
+  /// the run naming the datum and is not retried. Results are fetched
+  /// with FetchData afterwards. Fails once a task's retry budget is
+  /// exhausted (remaining tasks are not started).
   Result<RunReport> Execute(TaskGraph& graph, const RunContext& ctx);
   Result<RunReport> Execute(TaskGraph& graph) {
     return Execute(graph, RunContext{});

@@ -68,5 +68,36 @@ TEST(ArgsTest, UnknownKeysDetectsTypos) {
   EXPECT_EQ(unknown[0], "grdi");
 }
 
+TEST(ArgsTest, CheckFlagsRejectsABareValueFlagNamingIt) {
+  // `--out` with nothing after it has no value: it must not read as a
+  // path called "true".
+  const Args bare = Make({"--smoke", "--out"});
+  EXPECT_EQ(bare.GetString("out", "fallback"), "");
+  const Status status = bare.CheckFlags({"out"}, {"smoke"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "--out needs a value");
+  EXPECT_EQ(Make({"--out="}).CheckFlags({"out"}).message(),
+            "--out needs a value");
+
+  // Boolean flags keep their bare form; value flags with values pass.
+  const Args good = Make({"--smoke", "--out", "x.json", "--sizes=1,2"});
+  EXPECT_TRUE(good.CheckFlags({"out", "sizes"}, {"smoke"}).ok());
+  EXPECT_EQ(good.GetString("out"), "x.json");
+  auto smoke = good.GetBool("smoke", false);
+  ASSERT_TRUE(smoke.ok());
+  EXPECT_TRUE(*smoke);
+}
+
+TEST(ArgsTest, CheckFlagsRejectsAnUnknownFlagNamingIt) {
+  const Args args = Make({"--algoritm=kmeans", "--grid=4x1"});
+  const Status status = args.CheckFlags({"algorithm", "grid"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "unknown flag --algoritm");
+  // A bare flag is unknown unless listed as a boolean one.
+  EXPECT_EQ(Make({"--smoke"}).CheckFlags({"out"}).message(),
+            "unknown flag --smoke");
+  EXPECT_TRUE(Make({"--smoke"}).CheckFlags({}, {"smoke"}).ok());
+}
+
 }  // namespace
 }  // namespace taskbench

@@ -1,8 +1,11 @@
 // Failure-injection tests: storage faults and hostile inputs must
 // surface as Status errors, never crash or hang the runtime.
 
+#include <atomic>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +49,99 @@ TEST(FailureInjectionTest, PutFailureSurfacesDuringStaging) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInternal);
   EXPECT_NE(report.status().message().find("injected"), std::string::npos);
+}
+
+// `n` initial blocks filled with their index, each read by one task
+// that copies it into a fresh output and counts its kernel call. Block
+// 0 is `dim0` x `dim0`, the others 4x4.
+std::atomic<int> copy_calls{0};
+
+TaskGraph CountedCopies(int n, int64_t dim0, std::vector<DataId>* outputs) {
+  TaskGraph graph;
+  for (int i = 0; i < n; ++i) {
+    const int64_t dim = i == 0 ? dim0 : 4;
+    const DataId in = graph.AddData(data::Matrix(dim, dim, i));
+    const DataId out = graph.AddData(static_cast<uint64_t>(dim * dim * 8));
+    TaskSpec spec;
+    spec.type = "copy";
+    spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
+    spec.kernel = [](const std::vector<const data::Matrix*>& inputs,
+                     const std::vector<data::Matrix*>& outputs) -> Status {
+      copy_calls.fetch_add(1);
+      *outputs[0] = *inputs[0];
+      return Status::OK();
+    };
+    EXPECT_TRUE(graph.Submit(std::move(spec)).ok());
+    outputs->push_back(out);
+  }
+  return graph;
+}
+
+// Staging writes every initial value before any task starts, and a
+// staging failure is not a task's: it names the datum, runs no task
+// and is not retried, even with a retry budget and a fault that heals.
+TEST(FailureInjectionTest, PutBudgetBelowTheInitialPutsFailsStaging) {
+  for (const int threads : {1, 4}) {
+    auto faulty = std::make_shared<FaultyStorage>(
+        std::make_shared<storage::InMemoryStorage>());
+    faulty->ops_until_put_failure = 3;  // the fourth of eight puts fails
+    faulty->put_failures_remaining = 1;
+    std::vector<DataId> outputs;
+    TaskGraph graph = CountedCopies(8, 4, &outputs);
+    RunOptions options = StorageOptions();
+    options.num_threads = threads;
+    options.max_retries = 3;
+    options.retry_backoff_s = 1e-4;
+    ThreadPoolExecutor executor(options, faulty);
+    copy_calls = 0;
+    auto report = executor.Execute(graph);
+    ASSERT_FALSE(report.ok()) << threads << " threads";
+    EXPECT_EQ(report.status().code(), StatusCode::kInternal);
+    const std::string& message = report.status().message();
+    EXPECT_EQ(message.rfind("staging datum ", 0), 0u) << message;
+    EXPECT_NE(message.find("injected put failure"), std::string::npos);
+    EXPECT_EQ(message.find("task"), std::string::npos) << message;
+    EXPECT_EQ(copy_calls.load(), 0) << "a task ran before staging finished";
+    if (threads == 1) {
+      // One worker stages in datum order: inputs are the even ids.
+      EXPECT_EQ(message, "staging datum 6: injected put failure");
+    }
+  }
+}
+
+// With a budget of exactly the initial puts, every staging write
+// lands and the first task write fails: that is a task failure, which
+// the retry loop recovers. Were a task claimed before staging finished,
+// its write could draw on the budget ahead of the last staging writes
+// (the worker staging the 8 MiB block 0 draws for the other nine
+// blocks of its chunk only after serializing it), and the fault would
+// fail staging.
+TEST(FailureInjectionTest, PutBudgetOfExactlyTheInitialPutsFailsATaskWrite) {
+  auto faulty = std::make_shared<FaultyStorage>(
+      std::make_shared<storage::InMemoryStorage>());
+  faulty->ops_until_put_failure = 320;
+  faulty->put_failures_remaining = 1;
+  std::vector<DataId> outputs;
+  TaskGraph graph = CountedCopies(320, 1024, &outputs);
+  RunOptions options = StorageOptions();
+  options.max_retries = 2;
+  options.retry_backoff_s = 1e-4;
+  ThreadPoolExecutor executor(options, faulty);
+  copy_calls = 0;
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->faults.retries, 1);
+  int failed_attempts = 0;
+  for (const TaskAttempt& attempt : report->attempts) {
+    if (attempt.outcome == AttemptOutcome::kFailed) ++failed_attempts;
+  }
+  EXPECT_EQ(failed_attempts, 1);
+  EXPECT_EQ(copy_calls.load(), 321);
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    auto value = executor.FetchData(graph, outputs[i]);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    EXPECT_EQ(value->At(0, 0), static_cast<double>(i));
+  }
 }
 
 TEST(FailureInjectionTest, PutFailureMidRunAborts) {

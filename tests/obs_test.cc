@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "obs/metrics.h"
@@ -75,6 +81,47 @@ TEST(HistogramTest, OutOfRangeValuesClampToEdgeBuckets) {
   EXPECT_EQ(h.bucket_count(0), 1);
   EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 1);
   EXPECT_EQ(h.count(), 2);
+}
+
+// The bucket is frexp's exponent minus kMinExp, clamped; BucketFor
+// reads it from the exponent bits instead. Pin the two against each
+// other where they could part: subnormals, each side of every power of
+// two across both clamp ends, the extremes and random doubles.
+int FrexpBucket(double v) {
+  int exp = 0;
+  std::frexp(v, &exp);
+  return std::clamp(exp - Histogram::kMinExp, 0, Histogram::kBuckets - 1);
+}
+
+TEST(HistogramTest, BucketForMatchesTheFrexpFormula) {
+  std::vector<double> values = {std::numeric_limits<double>::denorm_min(),
+                                std::nextafter(0.0, 1.0) * 12345,
+                                std::numeric_limits<double>::min() / 2,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                1e-300,
+                                1e300};
+  for (int k = -40; k <= 40; ++k) {
+    const double p = std::ldexp(1.0, k);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 2 * p));
+  }
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    // Any positive finite bit pattern, and values spread over the
+    // bucket range.
+    const double bits = std::bit_cast<double>(rng() >> 1);
+    if (std::isfinite(bits) && bits > 0) values.push_back(bits);
+    values.push_back(std::ldexp(std::generate_canonical<double, 53>(rng),
+                                static_cast<int>(rng() % 90) - 45));
+  }
+  for (const double v : values) {
+    if (!(v > 0)) continue;
+    EXPECT_EQ(Histogram::BucketFor(v), FrexpBucket(v)) << v;
+  }
+  EXPECT_EQ(Histogram::BucketFor(1e-300), 0);
+  EXPECT_EQ(Histogram::BucketFor(1e300), Histogram::kBuckets - 1);
 }
 
 TEST(HistogramTest, ZeroAndNegativeSkipBuckets) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <thread>
@@ -311,6 +312,46 @@ TEST_P(ThreadPoolExecutorModes, FourThreadsAddAtMostThree) {
     ASSERT_TRUE(value.ok());
     EXPECT_EQ(value->At(0, 0), 6.0);
   }
+}
+
+// Four workers split a few thousand initial blocks (tiny ones and a
+// few larger ones) into claimed chunks and stage them in parallel;
+// every task must read its own block, and every initial value must be
+// fetchable afterwards.
+TEST_P(ThreadPoolExecutorModes, FourWorkersStageManyInitialBlocks) {
+  TaskGraph graph;
+  std::vector<DataId> ins;
+  std::vector<DataId> outs;
+  for (int i = 0; i < 3000; ++i) {
+    const int64_t dim = i % 500 == 0 ? 64 : 2;
+    ins.push_back(graph.AddData(data::Matrix(dim, dim, i)));
+    outs.push_back(graph.AddData(static_cast<uint64_t>(dim * dim * 8)));
+    ASSERT_TRUE(
+        graph.Submit(SimpleTask(ins.back(), outs.back(), AddOneKernel()))
+            .ok());
+  }
+  ThreadPoolExecutor executor = MakeExecutor(4);
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (size_t i = 0; i < ins.size(); ++i) {
+    auto in = executor.FetchData(graph, ins[i]);
+    auto out = executor.FetchData(graph, outs[i]);
+    ASSERT_TRUE(in.ok() && out.ok()) << "block " << i;
+    EXPECT_EQ(in->At(1, 1), static_cast<double>(i));
+    EXPECT_EQ(out->At(1, 1), static_cast<double>(i) + 1);
+  }
+}
+
+// Storage keys are part of the on-disk format (FileStorage paths) and
+// of the service's scope cleanup: their bytes must not change.
+TEST(ThreadPoolExecutorTest, StorageKeysKeepTheirBytes) {
+  EXPECT_EQ(StorageKey(0, 7), "d7");
+  EXPECT_EQ(StorageKey(3, 7), "s3.d7");
+  EXPECT_EQ(StorageKey(0, 0), "d0");
+  EXPECT_EQ(StorageKey(12, 4100), "s12.d4100");
+  EXPECT_EQ(StorageKey(UINT64_MAX, INT64_MAX),
+            "s18446744073709551615.d9223372036854775807");
+  EXPECT_EQ(StorageKey(1, INT64_MIN), "s1.d-9223372036854775808");
 }
 
 TEST(ThreadPoolExecutorTest, ManyThreadsManyTasksStress) {

@@ -36,6 +36,9 @@
 //   recommend  Auto-tune block dimension + processor for a workload.
 //   dag        Print the workflow DAG in Graphviz DOT format.
 //
+// A flag the subcommand does not read, or a value flag given with no
+// value (`--csv` alone), fails the command with exit code 2.
+//
 // Common options:
 //   --algorithm=matmul|matmul-fma|kmeans|logreg|transpose
 //   --dataset=matmul-8gb|matmul-32gb|kmeans-10gb|kmeans-100gb|...
@@ -755,7 +758,9 @@ int CmdImport(const tb::Args& args) {
     out << tb::wf::ExportWfFormat(*instance);
     std::printf("exported normalized WfFormat to %s\n", out_path.c_str());
   }
-  if (args.Has("stats-only")) return 0;
+  const auto stats_only = args.GetBool("stats-only", false);
+  if (!stats_only.ok()) return Fail(stats_only.status().ToString());
+  if (*stats_only) return 0;
 
   const std::string policy_name = args.GetString("policy", "gen-order");
   const auto policy = tb::runtime::ParseSchedulingPolicy(policy_name);
@@ -855,6 +860,50 @@ void PrintUsage() {
       "see the header of tools/taskbench_cli.cc for details\n");
 }
 
+/// A subcommand and the flags it reads. Any other flag, or one of its
+/// value flags given without a value, fails the command (exit 2)
+/// before it runs.
+struct Command {
+  const char* name;
+  int (*run)(const tb::Args&);
+  std::vector<std::string> value_flags;
+  std::vector<std::string> bool_flags;
+};
+
+std::vector<std::string> Concat(std::vector<std::string> a,
+                                const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+const std::vector<Command>& Commands() {
+  // What BuildConfig reads, for run, sweep and recommend.
+  static const std::vector<std::string> config = {
+      "algorithm", "dataset", "rows", "cols", "grid", "clusters",
+      "iterations", "processor", "storage", "policy", "faults", "retries",
+      "retry-backoff"};
+  static const std::vector<std::string> config_bools = {"disable-hedging",
+                                                        "disable-escalation"};
+  static const std::vector<Command> commands = {
+      {"run", CmdRun, Concat(config, {"trace", "metrics-json", "csv"}),
+       Concat(config_bools, {"hybrid", "gantt", "flow-events"})},
+      {"exec", CmdExec, {"workers", "n", "block-dim", "executor"}, {}},
+      {"serve",
+       CmdServe,
+       {"executor", "duration", "tenants", "rate", "skew", "runners", "seed",
+        "max-in-flight", "max-queued", "deadline", "cancel-every",
+        "arrivals"},
+       {}},
+      {"import", CmdImport, {"executor", "policy", "workers", "export"},
+       {"stats-only"}},
+      {"sweep", CmdSweep, Concat(config, {"csv"}), config_bools},
+      {"correlate", CmdCorrelate, {"csv"}, {}},
+      {"recommend", CmdRecommend, config, config_bools},
+      {"dag", CmdDag, {"algorithm", "grid", "iterations"}, {}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -864,14 +913,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = args.positional()[0];
-  if (command == "run") return CmdRun(args);
-  if (command == "exec") return CmdExec(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "import") return CmdImport(args);
-  if (command == "sweep") return CmdSweep(args);
-  if (command == "correlate") return CmdCorrelate(args);
-  if (command == "recommend") return CmdRecommend(args);
-  if (command == "dag") return CmdDag(args);
+  for (const Command& c : Commands()) {
+    if (command != c.name) continue;
+    const tb::Status flags = args.CheckFlags(c.value_flags, c.bool_flags);
+    if (!flags.ok()) {
+      std::fprintf(stderr, "taskbench %s: %s\n", c.name,
+                   flags.message().c_str());
+      return 2;
+    }
+    return c.run(args);
+  }
   PrintUsage();
   return Fail("unknown command '" + command + "'");
 }
