@@ -153,20 +153,23 @@ Status CheckBusyTime(const RunReport& report,
   return Status::OK();
 }
 
-Status CheckAttempts(const RunReport& report,
+Status CheckAttempts(const TaskGraph& graph, const RunReport& report,
                      const InvariantContext& context) {
+  const runtime::FaultStats& faults = report.faults;
   if (!context.faulted && context.simulated) {
-    if (report.faults.any() || !report.attempts.empty()) {
+    if (faults.any() || !report.attempts.empty()) {
       return Violation(
           "fault-free simulated run reports fault counters or "
           "attempts");
     }
     return Status::OK();
   }
-  // Attempt numbers must strictly increase per task in log order, and
-  // for a successful run the final attempt of every logged task
-  // completed.
+  // Per task: attempt numbers strictly increase in log order, and the
+  // last completed attempt is the one the record names.
   std::map<TaskId, const TaskAttempt*> last;
+  std::map<TaskId, const TaskAttempt*> last_completed;
+  int64_t non_completed = 0;
+  int64_t hedge_cancelled = 0;
   for (const TaskAttempt& a : report.attempts) {
     if (a.end < a.start) {
       return Violation(StrFormat(
@@ -184,50 +187,54 @@ Status CheckAttempts(const RunReport& report,
       }
       it->second = &a;
     }
-  }
-  for (const auto& [task, attempt] : last) {
-    if (attempt->outcome != AttemptOutcome::kCompleted &&
-        attempt->outcome != AttemptOutcome::kFailed &&
-        attempt->outcome != AttemptOutcome::kHedgeCancelled) {
-      // kFailed appears in thread-pool logs for retried-then-
-      // successful attempts, and kHedgeCancelled is the losing twin
-      // of a hedge pair (logged after the winner's completion when
-      // the twin held the higher attempt number); a successful run's
-      // final logged sim attempt must otherwise be kCompleted.
-      if (context.simulated) {
-        return Violation(StrFormat(
-            "task %lld final attempt %d ended %s, not completed",
-            static_cast<long long>(task), attempt->attempt,
-            runtime::ToString(attempt->outcome).c_str()));
-      }
+    if (a.outcome == AttemptOutcome::kCompleted) {
+      last_completed[a.task] = &a;
+    } else if (a.outcome == AttemptOutcome::kHedgeCancelled) {
+      ++hedge_cancelled;
+    } else {
+      ++non_completed;
     }
   }
-  // Cancelled hedge twins are not retries: the primary never failed.
-  const int64_t hedge_cancelled = static_cast<int64_t>(
-      std::count_if(report.attempts.begin(), report.attempts.end(),
-                    [](const TaskAttempt& a) {
-                      return a.outcome == AttemptOutcome::kHedgeCancelled;
-                    }));
-  const int64_t non_completed =
-      static_cast<int64_t>(std::count_if(
-          report.attempts.begin(), report.attempts.end(),
-          [](const TaskAttempt& a) {
-            return a.outcome != AttemptOutcome::kCompleted;
-          })) -
-      hedge_cancelled;
-  if (context.simulated && report.faults.retries != non_completed) {
+  // A kept log holds every task, each with a completed attempt.
+  for (TaskId t = 0; t < graph.num_tasks() && !report.attempts.empty(); ++t) {
+    auto it = last_completed.find(t);
+    const int logged = it == last_completed.end() ? 0 : it->second->attempt;
+    const int recorded = report.records[static_cast<size_t>(t)].attempt;
+    if (logged != recorded) {
+      return Violation(StrFormat(
+          "task %lld completed as attempt %d, but its last logged "
+          "completion is attempt %d (0: none)",
+          static_cast<long long>(t), recorded, logged));
+    }
+  }
+  // Every launch beyond a task's first is exactly one retry, hedge or
+  // recompute, and each ends in one logged attempt; without a log
+  // there is none of the three.
+  const auto launches = static_cast<int64_t>(report.attempts.size()) -
+                        static_cast<int64_t>(last.size());
+  if (launches != faults.retries + faults.hedges + faults.recomputed_tasks) {
     return Violation(StrFormat(
-        "retry counter %lld != %lld non-completed attempts",
-        static_cast<long long>(report.faults.retries),
+        "%lld relaunches logged, but %lld retries + %lld hedges + %lld "
+        "recomputes counted",
+        static_cast<long long>(launches),
+        static_cast<long long>(faults.retries),
+        static_cast<long long>(faults.hedges),
+        static_cast<long long>(faults.recomputed_tasks)));
+  }
+  // A retry follows a failed attempt; a cancelled hedge twin is not
+  // one (its primary never failed), and every cancelled twin was
+  // launched as a hedge.
+  if (faults.retries > non_completed) {
+    return Violation(StrFormat(
+        "%lld retries exceed %lld failed attempts",
+        static_cast<long long>(faults.retries),
         static_cast<long long>(non_completed)));
   }
-  // Every cancelled twin was launched as a hedge; a twin may also
-  // survive (its primary died), so cancellations never exceed hedges.
-  if (context.simulated && hedge_cancelled > report.faults.hedges) {
+  if (hedge_cancelled > faults.hedges) {
     return Violation(StrFormat(
         "%lld hedge cancellations exceed %lld hedges launched",
         static_cast<long long>(hedge_cancelled),
-        static_cast<long long>(report.faults.hedges)));
+        static_cast<long long>(faults.hedges)));
   }
   return Status::OK();
 }
@@ -240,7 +247,7 @@ Status VerifyReport(const TaskGraph& graph, const RunReport& report,
   TB_RETURN_IF_ERROR(CheckRecords(graph, report, context));
   TB_RETURN_IF_ERROR(CheckScheduler(report, context));
   TB_RETURN_IF_ERROR(CheckBusyTime(report, context));
-  TB_RETURN_IF_ERROR(CheckAttempts(report, context));
+  TB_RETURN_IF_ERROR(CheckAttempts(graph, report, context));
   return Status::OK();
 }
 

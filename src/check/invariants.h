@@ -40,8 +40,12 @@ struct InvariantContext {
 ///   [f] scheduler phase breakdown sums to the decision overhead and
 ///       is zero on non-simulated reports
 ///   [f] per-node (cluster) / total (num_threads) busy-time bounds
-///   [f] attempt log: per-task attempt numbers strictly increase, and
-///       each logged task's final attempt completed
+///   [f] attempt log, on every executor: per-task attempt numbers
+///       strictly increase; a non-empty log holds every task, and each
+///       task's last completed attempt is the one its record names;
+///       logged attempts beyond each task's first equal retries +
+///       hedges + recomputes (all zero without a log); retries never
+///       exceed failed attempts, nor hedge cancellations hedges
 ///   -   fault counters all zero, attempt log empty (simulated)
 ///
 /// Returns OK or a FailedPrecondition whose message starts with

@@ -44,9 +44,7 @@ enum class AttemptOutcome : uint8_t {
 
 std::string ToString(AttemptOutcome outcome);
 
-/// One task attempt: recorded only when a fault plan is active, so
-/// fault-free runs produce byte-identical reports to the
-/// pre-fault-tolerance executor.
+/// One ended task attempt, as RunReport::attempts logs it.
 struct TaskAttempt {
   TaskId task = -1;
   int attempt = 1;
@@ -121,9 +119,9 @@ struct RunReport {
   uint64_t sim_events = 0;
   /// Fault-tolerance counters; all zero when no faults were injected.
   FaultStats faults;
-  /// Per-task attempt log. Populated only when a fault plan is active
-  /// (empty on fault-free runs, keeping them bit-identical to the
-  /// pre-fault-tolerance executor).
+  /// Per-task attempt log (runtime::AttemptLedger): kept by the
+  /// simulator under a fault plan and by the real executors under a
+  /// retry budget (max_retries > 0); empty otherwise.
   std::vector<TaskAttempt> attempts;
 
   /// Mean per-stage times per task type ("tasks running the same code

@@ -31,9 +31,34 @@ StageHists StageHists::Resolve(obs::MetricsRegistry* registry,
 
 void StageHists::Record(const TaskRecord& rec) const {
   deserialize->Record(rec.stages.deserialize);
-  compute->Record(rec.stages.parallel_fraction);
+  compute->Record(rec.stages.user_code());
   serialize->Record(rec.stages.serialize);
   duration->Record(rec.duration());
+}
+
+void StageRecorder::Record(const TaskRecord& rec) {
+  auto it = types_.find(rec.type);
+  if (it == types_.end()) {
+    it = types_.emplace(rec.type, StageHists::Resolve(registry_, rec.type))
+             .first;
+  }
+  it->second.Record(rec);
+}
+
+void ExportCacheStats(const std::vector<storage::BlockCache::Stats>& caches,
+                      obs::MetricsRegistry* registry) {
+  obs::Counter* hits = registry->counter("cache.hits");
+  obs::Counter* misses = registry->counter("cache.misses");
+  obs::Counter* evictions = registry->counter("cache.evictions");
+  obs::Counter* invalidations = registry->counter("cache.invalidations");
+  obs::Gauge* peak = registry->gauge("cache.peak_bytes");
+  for (const storage::BlockCache::Stats& s : caches) {
+    hits->Add(s.hits);
+    misses->Add(s.misses);
+    evictions->Add(s.evictions);
+    invalidations->Add(s.invalidations);
+    peak->SetMax(static_cast<double>(s.peak_bytes));
+  }
 }
 
 void StreamMetricsJson(const RunReport& report,

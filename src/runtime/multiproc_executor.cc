@@ -11,13 +11,13 @@
 #include <span>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
-#include "runtime/invariant_check.h"
+#include "runtime/attempt_body.h"
+#include "runtime/attempt_ledger.h"
 #include "runtime/metrics_export.h"
 #include "runtime/spsc_ring.h"
 #include "storage/block_cache.h"
@@ -93,11 +93,14 @@ struct TaskMsg {
 /// 1 = retryable task failure (kernel / data error), 2 = fatal
 /// (retrying cannot help, e.g. arena exhaustion — fail the run),
 /// 3 = invariant violation detected inside the worker (fail the run).
+/// A failure carries its Status: `status` is the StatusCode, `error`
+/// the message.
 struct CompletionMsg {
   int64_t task = -1;
   int32_t worker = -1;
   int32_t attempt = 1;
   int32_t code = 0;
+  int32_t status = 0;
   /// Arena offset + 1 of the staged-outputs index record (0 = no
   /// outputs staged). The worker only *stages* output records; the
   /// coordinator performs the directory stores when it consumes this
@@ -108,9 +111,7 @@ struct CompletionMsg {
   uint64_t outputs = 0;
   double start = 0;
   double end = 0;
-  double deserialize_s = 0;
-  double compute_s = 0;
-  double serialize_s = 0;
+  perf::StageTimes stages;
   char error[196] = {0};
 };
 
@@ -239,27 +240,69 @@ Result<data::Matrix> ReadBlockAt(const storage::ShmArena& arena,
 }
 
 void SetError(CompletionMsg* msg, const Status& status) {
-  const std::string text = status.ToString();
+  msg->status = static_cast<int32_t>(status.code());
+  const std::string& text = status.message();
   const size_t n = std::min(text.size(), sizeof(msg->error) - 1);
   std::memcpy(msg->error, text.data(), n);
   msg->error[n] = '\0';
 }
 
-/// One task attempt inside a worker — the multi-process counterpart
-/// of the thread pool's run_task: gather inputs from the arena, run
-/// the kernel, publish outputs back into the arena. When `cache` is
-/// set, reads go through the worker's version-keyed block cache with
-/// the directory tag as the version: a hot shared input deserializes
-/// once per worker instead of once per task. With `check` on, each
-/// non-OUT param's directory tag is re-loaded after the kernel ran —
-/// the anti-dependency (write-after-read) edges of the graph make a
-/// republication during execution impossible, so any change is an
-/// invariant violation (code 3).
+/// The multi-process plane: blocks live serialized in the arena, and a
+/// datum's version is its directory tag. A worker only stages outputs;
+/// the coordinator publishes them when it consumes the completion, so
+/// a crash in between cannot expose them to a retry.
+class ArenaPlane final : public BlockPlane {
+ public:
+  ArenaPlane(storage::ShmArena& arena, const RunView& run, bool check)
+      : arena_(arena), run_(run), check_(check) {}
+
+  Result<uint64_t> ReadVersion(TaskId, size_t, DataId d) override {
+    const uint64_t tag = run_.directory[d].load(std::memory_order_acquire);
+    if (tag == 0) {
+      return Status::NotFound(StrFormat(
+          "datum %lld has no record in the shm directory; was it ever "
+          "written?",
+          static_cast<long long>(d)));
+    }
+    if (check_) read_tags.emplace_back(d, tag);
+    return tag;
+  }
+  Result<data::Matrix> Copy(DataId, uint64_t tag, double* seconds) override {
+    const int64_t start_ns = NowNs();
+    TB_ASSIGN_OR_RETURN(data::Matrix m, ReadBlockAt(arena_, tag));
+    *seconds += SecondsSince(start_ns);
+    return m;
+  }
+  Result<uint64_t> Store(TaskId, size_t, DataId d, data::Matrix& value,
+                         double* seconds) override {
+    const int64_t start_ns = NowNs();
+    TB_ASSIGN_OR_RETURN(const uint64_t offset, StageBlock(arena_, value));
+    *seconds += SecondsSince(start_ns);
+    staged.emplace_back(static_cast<uint64_t>(d), offset);
+    return offset + 1;  // the tag the coordinator will publish
+  }
+
+  /// (datum, tag) of every read, when checking.
+  std::vector<std::pair<DataId, uint64_t>> read_tags;
+  /// (datum, record offset) of every staged output.
+  std::vector<std::pair<uint64_t, uint64_t>> staged;
+
+ private:
+  storage::ShmArena& arena_;
+  const RunView& run_;
+  const bool check_;
+};
+
+/// One task attempt inside a worker: the attempt body over the arena
+/// plane and the worker's block cache (`cache`, when set). With `check`
+/// on, each read's tag is loaded again after the kernel ran (code 3 if
+/// it moved). The staged outputs are listed for the coordinator in one
+/// index record [u64 count | count x (u64 data id, u64 record offset)]
+/// referenced from the completion message.
 CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const RunView& run,
                      storage::ShmArena& arena, bool check,
                      storage::BlockCache* cache) {
   const int64_t origin_ns = run.origin_ns;
-  std::atomic<uint64_t>* directory = run.directory;
   CompletionMsg out;
   out.task = msg.task;
   out.worker = worker_id;
@@ -267,189 +310,57 @@ CompletionMsg RunOne(int worker_id, const TaskMsg& msg, const RunView& run,
   out.start = SecondsSince(origin_ns);
 
   const TaskEntry& task = run.tasks[msg.task];
-  const std::span<const Param> params(run.params + task.first_param,
-                                      task.num_params);
-
-  // Materialize inputs (IN + INOUT) and output slots (OUT + INOUT),
-  // mirroring the thread-pool layout: kernel inputs are IN values
-  // first, then INOUT values aliasing their output slots. IN values
-  // are shared with the cache when enabled (no copy on hit); INOUT
-  // slots always get private copies the kernel may mutate.
-  std::vector<std::shared_ptr<const data::Matrix>> in_values;
-  std::vector<data::Matrix> out_values;
-  std::vector<DataId> out_ids;
-  std::vector<size_t> inout_out_index;
-  std::vector<std::pair<DataId, uint64_t>> read_tags;  // for the check
-  in_values.reserve(params.size());
-  out_values.resize(params.size());
-  size_t num_outputs = 0;
-  for (const Param& p : params) {
-    if (p.dir == Dir::kOut) {
-      out_ids.push_back(p.data);
-      ++num_outputs;
-      continue;
-    }
-    const uint64_t tag = directory[p.data].load(std::memory_order_acquire);
-    if (tag == 0) {
-      out.code = 1;
-      SetError(&out, Status::NotFound(StrFormat(
-                         "datum %lld has no record in the shm directory; "
-                         "was it ever written?",
-                         static_cast<long long>(p.data))));
-      out.end = SecondsSince(origin_ns);
-      return out;
-    }
-    if (check) read_tags.emplace_back(p.data, tag);
-    if (p.dir == Dir::kIn) {
-      if (cache != nullptr) {
-        if (storage::BlockCache::ValuePtr hit =
-                cache->Get(static_cast<uint64_t>(p.data), tag)) {
-          in_values.push_back(std::move(hit));
-          continue;
-        }
-      }
-      const double t0 = SecondsSince(origin_ns);
-      Result<data::Matrix> value = ReadBlockAt(arena, tag);
-      if (!value.ok()) {
-        out.code = 1;
-        SetError(&out, value.status());
-        out.end = SecondsSince(origin_ns);
-        return out;
-      }
-      out.deserialize_s += SecondsSince(origin_ns) - t0;
-      if (cache != nullptr) {
-        in_values.push_back(cache->Put(static_cast<uint64_t>(p.data), tag,
-                                       std::move(value).value()));
-      } else {
-        in_values.push_back(std::make_shared<const data::Matrix>(
-            std::move(value).value()));
-      }
-      continue;
-    }
-    // INOUT: private mutable copy. A cache hit copies the shared
-    // entry instead of letting the kernel mutate it; a miss reads the
-    // arena directly and is not inserted (this task is about to
-    // overwrite the datum, so the entry would be instantly stale).
-    bool materialized = false;
-    if (cache != nullptr) {
-      if (storage::BlockCache::ValuePtr hit =
-              cache->Get(static_cast<uint64_t>(p.data), tag)) {
-        out_values[num_outputs] = *hit;
-        materialized = true;
-      }
-    }
-    if (!materialized) {
-      const double t0 = SecondsSince(origin_ns);
-      Result<data::Matrix> value = ReadBlockAt(arena, tag);
-      if (!value.ok()) {
-        out.code = 1;
-        SetError(&out, value.status());
-        out.end = SecondsSince(origin_ns);
-        return out;
-      }
-      out.deserialize_s += SecondsSince(origin_ns) - t0;
-      out_values[num_outputs] = std::move(value).value();
-    }
-    inout_out_index.push_back(num_outputs);
-    out_ids.push_back(p.data);
-    ++num_outputs;
-  }
-  out_values.resize(num_outputs);
-
-  KernelInputs inputs;
-  KernelOutputs outputs;
-  for (const auto& m : in_values) inputs.push_back(m.get());
-  for (size_t idx : inout_out_index) inputs.push_back(&out_values[idx]);
-  for (data::Matrix& m : out_values) outputs.push_back(&m);
-
-  const double kernel_start = SecondsSince(origin_ns);
-  const Status kernel_status = task.fn(
-      std::string_view(run.args + task.args, task.args_bytes), inputs,
-      outputs);
-  out.compute_s = SecondsSince(origin_ns) - kernel_start;
-  if (!kernel_status.ok()) {
-    out.code = 1;
-    SetError(&out, kernel_status);
+  ArenaPlane plane(arena, run, check);
+  AttemptBody body(
+      msg.task,
+      std::span<const Param>(run.params + task.first_param, task.num_params),
+      task.fn, std::string_view(run.args + task.args, task.args_bytes));
+  const auto finish = [&](int code, const Status& status) {
+    out.code = code;
+    if (!status.ok()) SetError(&out, status);
+    out.stages = body.stages;
     out.end = SecondsSince(origin_ns);
     return out;
-  }
+  };
 
-  // Invariant: no input block may be republished while the task that
-  // reads it is running — the graph's write-after-read edges order
-  // every overwriting task after all readers, and the coordinator
-  // never dispatches two live attempts of one task. A moved tag means
-  // cached handles and arena reads could disagree: fail the run.
-  if (check) {
-    for (const auto& [d, tag] : read_tags) {
-      const uint64_t now_tag = directory[d].load(std::memory_order_acquire);
-      if (now_tag != tag) {
-        out.code = 3;
-        SetError(&out,
-                 Status::FailedPrecondition(StrFormat(
-                     "invariant violation: datum %lld republished (tag "
-                     "%llu -> %llu) while task %lld was reading it",
-                     static_cast<long long>(d),
-                     static_cast<unsigned long long>(tag),
-                     static_cast<unsigned long long>(now_tag),
-                     static_cast<long long>(msg.task))));
-        out.end = SecondsSince(origin_ns);
-        return out;
-      }
+  if (Status status = body.Compute(plane, cache); !status.ok()) {
+    return finish(1, status);
+  }
+  // No input may be republished while its reader runs: write-after-read
+  // edges order every overwriting task after all readers, and no task
+  // has two live attempts. A moved tag means cached handles and arena
+  // reads could disagree.
+  for (const auto& [d, tag] : plane.read_tags) {
+    const uint64_t now_tag = run.directory[d].load(std::memory_order_acquire);
+    if (now_tag != tag) {
+      return finish(3, Status::FailedPrecondition(StrFormat(
+                           "invariant violation: datum %lld republished "
+                           "(tag %llu -> %llu) while task %lld was reading "
+                           "it",
+                           static_cast<long long>(d),
+                           static_cast<unsigned long long>(tag),
+                           static_cast<unsigned long long>(now_tag),
+                           static_cast<long long>(msg.task))));
     }
   }
-
-  // Stage the outputs: serialize each into its own arena record, then
-  // write one index record [u64 count | count x (u64 data id, u64
-  // record offset)] referenced from the completion message. The
-  // directory is deliberately NOT written here — only the coordinator
-  // publishes, when it consumes the completion — so a crash between
-  // staging and consumption cannot expose this attempt's outputs to a
-  // retry (which would double-apply INOUT tasks).
-  std::vector<std::pair<uint64_t, uint64_t>> staged;
-  staged.reserve(out_ids.size());
-  for (size_t i = 0; i < out_ids.size(); ++i) {
-    const double t0 = SecondsSince(origin_ns);
-    Result<uint64_t> offset = StageBlock(arena, out_values[i]);
-    if (!offset.ok()) {
-      out.code = 2;  // arena exhaustion: retrying cannot help
-      SetError(&out, offset.status());
-      out.end = SecondsSince(origin_ns);
-      return out;
-    }
-    staged.emplace_back(static_cast<uint64_t>(out_ids[i]), *offset);
-    out.serialize_s += SecondsSince(origin_ns) - t0;
+  // Arena exhaustion: retrying cannot help.
+  if (Status status = body.Store(plane, cache); !status.ok()) {
+    return finish(2, status);
   }
-  if (!staged.empty()) {
+  if (!plane.staged.empty()) {
     Result<uint64_t> index =
-        arena.Allocate(8 + 16 * static_cast<uint64_t>(staged.size()));
-    if (!index.ok()) {
-      out.code = 2;
-      SetError(&out, index.status());
-      out.end = SecondsSince(origin_ns);
-      return out;
-    }
+        arena.Allocate(8 + 16 * static_cast<uint64_t>(plane.staged.size()));
+    if (!index.ok()) return finish(2, index.status());
     uint8_t* record = arena.At(*index);
-    const uint64_t count = staged.size();
+    const uint64_t count = plane.staged.size();
     std::memcpy(record, &count, sizeof(count));
-    for (size_t i = 0; i < staged.size(); ++i) {
-      std::memcpy(record + 8 + 16 * i, &staged[i].first, 8);
-      std::memcpy(record + 8 + 16 * i + 8, &staged[i].second, 8);
+    for (size_t i = 0; i < plane.staged.size(); ++i) {
+      std::memcpy(record + 8 + 16 * i, &plane.staged[i].first, 8);
+      std::memcpy(record + 8 + 16 * i + 8, &plane.staged[i].second, 8);
     }
     out.outputs = *index + 1;
   }
-  // Write-through at the tags the coordinator will publish (staged
-  // offset + 1). If this attempt's completion is never consumed —
-  // worker declared dead, stale duplicate — those tags never enter
-  // the directory, so a crashed attempt's staged outputs are
-  // unreachable in every cache; the epoch sweep reclaims their bytes.
-  if (cache != nullptr) {
-    for (size_t i = 0; i < staged.size(); ++i) {
-      cache->Put(staged[i].first, staged[i].second + 1,
-                 std::move(out_values[i]));
-    }
-  }
-  out.end = SecondsSince(origin_ns);
-  return out;
+  return finish(0, Status::OK());
 }
 
 /// Longest a parked worker sleeps before it checks that its
@@ -832,16 +743,9 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
 
   TB_RETURN_IF_ERROR(options_.Validate());
   TB_RETURN_IF_ERROR(graph.Validate());
+  TB_RETURN_IF_ERROR(CheckKernels(graph, "multi-process"));
   const int64_t total = graph.num_tasks();
   const int64_t num_data = graph.num_data();
-  for (TaskId t = 0; t < total; ++t) {
-    if (graph.task(t).spec.kernel == nullptr) {
-      return Status::FailedPrecondition(StrFormat(
-          "task %lld (%s) has no kernel; simulation-only graphs cannot "
-          "run on the multi-process executor",
-          static_cast<long long>(t), graph.task(t).spec.type.c_str()));
-    }
-  }
 
   // The run's arena holds its table plus its block records. A plane
   // whose workers are gone, or whose arena is too small, is replaced:
@@ -939,12 +843,10 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     int attempt = 1;
   };
   std::vector<Delayed> delayed;  // retry backoff queue
-  std::vector<char> completed(static_cast<size_t>(total), 0);
-  std::vector<TaskRecord> records(static_cast<size_t>(total));
-  std::vector<TaskAttempt> attempts;
-  int64_t retries = 0;
+  // Completion, the order check (run here, at dispatch), the retry
+  // budget and the attempt log.
+  AttemptLedger ledger(graph, options_, /*simulated=*/false);
   int64_t dead_workers = 0;
-  int64_t num_completed = 0;
   std::vector<int> inflight(static_cast<size_t>(num_workers), 0);
   std::vector<char>& alive = plane.alive;  // a reaped worker is cleared
   std::vector<std::vector<std::pair<TaskId, int>>> inflight_tasks(
@@ -1045,6 +947,10 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       }
     }
     if (best < 0) return false;  // every live worker is at capacity
+    if (Status order = ledger.CheckStart(t); !order.ok()) {
+      fail_run(ledger.Failure(t, attempt, "worker", best, order));
+      return false;
+    }
     if (Status staged = stage_inputs(t); !staged.ok()) {
       fail_run(std::move(staged));
       return false;
@@ -1070,15 +976,16 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
         break;
       }
     }
-    if (completed[static_cast<size_t>(msg.task)]) return;  // stale duplicate
+    if (ledger.claimed(msg.task)) return;  // stale duplicate
     if (msg.code == 0) {
       // Publish the attempt's staged outputs. Doing this here — not
       // in the worker — makes publication atomic with completion:
       // either the coordinator consumed the completion (outputs
       // visible, task done, never re-run) or it did not (directory
-      // untouched, a retry re-reads pre-attempt values). The stale
-      // check above also keeps a slower duplicate attempt from
-      // overwriting versions successors already read.
+      // untouched, a retry re-reads pre-attempt values). The claim
+      // also keeps a slower duplicate attempt from overwriting
+      // versions successors already read.
+      if (!ledger.Claim(msg.task)) return;
       if (msg.outputs != 0) {
         const uint8_t* record = arena.At(msg.outputs - 1);
         uint64_t count = 0;
@@ -1100,20 +1007,15 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
               offset + 1, std::memory_order_release);
         }
       }
-      completed[static_cast<size_t>(msg.task)] = 1;
-      ++num_completed;
       const Task& task = graph.task(msg.task);
-      TaskRecord& rec = records[static_cast<size_t>(msg.task)];
+      TaskRecord rec;
       rec.task = msg.task;
       rec.type = task.spec.type;
       rec.level = task.level;
       rec.processor = Processor::kCpu;
       rec.node = msg.worker;
       rec.slot = 0;  // workers are single-threaded: one slot each
-      rec.stages = perf::StageTimes{};
-      rec.stages.deserialize = msg.deserialize_s;
-      rec.stages.parallel_fraction = msg.compute_s;
-      rec.stages.serialize = msg.serialize_s;
+      rec.stages = msg.stages;
       rec.start = msg.start;
       rec.end = msg.end;
       rec.attempt = msg.attempt;
@@ -1123,11 +1025,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
               worker_domain[static_cast<size_t>(msg.worker)];
         }
       }
-      if (options_.max_retries > 0) {
-        attempts.push_back(TaskAttempt{msg.task, msg.attempt, msg.worker,
-                                       Processor::kCpu, msg.start, msg.end,
-                                       AttemptOutcome::kCompleted});
-      }
+      ledger.Complete(std::move(rec));
       for (TaskId succ : task.successors) {
         if (--remaining[static_cast<size_t>(succ)] == 0) {
           ready.emplace_back(succ, 1);
@@ -1135,25 +1033,26 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       }
       return;
     }
-    // Task failure inside a live worker. Fatal failures end the run:
-    // code 2 is arena exhaustion (note that every retry re-stages its
-    // outputs, so heavy retrying needs extra arena headroom), code 3
-    // is an invariant violation the worker detected.
-    if (msg.code >= 2 || msg.attempt > options_.max_retries) {
-      fail_run(Status::Internal(msg.error).WithContext(StrFormat(
-          msg.code == 2
-              ? "task %lld attempt %d on worker %d (each retry re-stages "
-                "its outputs; raise RunOptions::shm_arena_bytes when "
-                "retrying under memory pressure)"
-              : "task %lld attempt %d on worker %d",
-          static_cast<long long>(msg.task), msg.attempt, msg.worker)));
-      return;
+    // Task failure inside a live worker, with the worker's own status
+    // code. Fatal failures end the run: code 2 is arena exhaustion,
+    // code 3 an invariant violation the worker detected.
+    ledger.Log(TaskAttempt{msg.task, msg.attempt, msg.worker, Processor::kCpu,
+                           msg.start, msg.end, AttemptOutcome::kFailed});
+    Status cause(static_cast<StatusCode>(msg.status), msg.error);
+    if (msg.code == 2) {
+      cause = Status(cause.code(),
+                     cause.message() +
+                         " (each retry re-stages its outputs; raise "
+                         "RunOptions::shm_arena_bytes when retrying under "
+                         "memory pressure)");
     }
-    ++retries;
-    if (options_.max_retries > 0) {
-      attempts.push_back(TaskAttempt{msg.task, msg.attempt, msg.worker,
-                                     Processor::kCpu, msg.start, msg.end,
-                                     AttemptOutcome::kFailed});
+    Status failure =
+        msg.code >= 2
+            ? ledger.Failure(msg.task, msg.attempt, "worker", msg.worker, cause)
+            : ledger.Retry(msg.task, msg.attempt, "worker", msg.worker, cause);
+    if (!failure.ok()) {
+      fail_run(std::move(failure));
+      return;
     }
     delayed.push_back(Delayed{
         SecondsSince(origin_ns) + options_.RetryDelay(msg.attempt), msg.task,
@@ -1187,24 +1086,20 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
       inflight[static_cast<size_t>(w)] = 0;
       const double now = SecondsSince(origin_ns);
       for (const auto& [task, attempt] : lost) {
-        if (completed[static_cast<size_t>(task)]) continue;
-        if (options_.max_retries > 0) {
-          attempts.push_back(TaskAttempt{task, attempt, w, Processor::kCpu, 0,
-                                         now, AttemptOutcome::kNodeLost});
-        }
-        if (attempt > options_.max_retries) {
-          fail_run(Status::Internal(StrFormat(
-              "task %lld lost with worker %d (attempt %d); retry budget "
-              "exhausted",
-              static_cast<long long>(task), w, attempt)));
+        if (ledger.claimed(task)) continue;
+        ledger.Log(TaskAttempt{task, attempt, w, Processor::kCpu, 0, now,
+                               AttemptOutcome::kNodeLost});
+        Status retry = ledger.Retry(task, attempt, "worker", w,
+                                    Status::Internal("lost with worker"));
+        if (!retry.ok()) {
+          fail_run(std::move(retry));
           return;
         }
-        ++retries;
         delayed.push_back(
             Delayed{now + options_.RetryDelay(attempt), task, attempt + 1});
       }
     }
-    if (!failed && num_completed < total &&
+    if (!failed && ledger.num_completed() < total &&
         std::none_of(alive.begin(), alive.end(),
                      [](char a) { return a != 0; })) {
       fail_run(Status::Internal("all workers died before the run finished"));
@@ -1221,7 +1116,7 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
   };
 
   int progress_passes = 0;
-  while (!failed && num_completed < total) {
+  while (!failed && ledger.num_completed() < total) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
       fail_run(Status::Cancelled("run cancelled"));
       break;
@@ -1288,15 +1183,12 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
                                    [](int n) { return n == 0; });
   if (dead_workers > 0 || !drained) plane.StopWorkers();
 
-  double makespan = 0;
-  for (const TaskRecord& rec : records) {
-    makespan = std::max(makespan, rec.end);
-  }
-
+  RunReport report = ledger.TakeReport();
+  report.faults.dead_nodes = dead_workers;
   // Every timestamp shares the CLOCK_MONOTONIC origin written into the
   // run header, so the busy-time bound applies.
   if (options_.check_invariants) {
-    TB_RETURN_IF_ERROR(CheckBusyTimeBound(records, num_workers));
+    TB_RETURN_IF_ERROR(CheckBusyTimeBound(report.records, num_workers));
   }
   plane.last_graph = &graph;
   plane.last_run_header = table;
@@ -1309,44 +1201,31 @@ Result<RunReport> MultiProcExecutor::Execute(TaskGraph& graph,
     obs::MetricsRegistry& registry = *metrics_sink;
     registry.gauge("pool.procs")->Set(num_workers);
     registry.gauge("pool.domains")->Set(topo.num_domains());
-    if (retries > 0) registry.counter("pool.retries")->Add(retries);
+    if (report.faults.retries > 0) {
+      registry.counter("pool.retries")->Add(report.faults.retries);
+    }
     if (dead_workers > 0) {
       registry.counter("pool.worker_crashes")->Add(dead_workers);
     }
     if (options_.block_cache) {
       // Workers published their last stats snapshot into the shared
-      // control segment after each task; sum them here (same names as
-      // the thread pool's cache counters, so dashboards line up).
-      int64_t hits = 0, misses = 0, evictions = 0, invalidations = 0;
-      uint64_t peak = 0;
+      // control segment after each task.
+      std::vector<storage::BlockCache::Stats> stats(
+          static_cast<size_t>(num_workers));
       for (int w = 0; w < num_workers; ++w) {
         const CacheStatsSlot& slot = plane.cache_stats[w];
-        hits += slot.hits.load(std::memory_order_relaxed);
-        misses += slot.misses.load(std::memory_order_relaxed);
-        evictions += slot.evictions.load(std::memory_order_relaxed);
-        invalidations += slot.invalidations.load(std::memory_order_relaxed);
-        peak = std::max(peak, slot.peak_bytes.load(std::memory_order_relaxed));
+        storage::BlockCache::Stats& s = stats[static_cast<size_t>(w)];
+        s.hits = slot.hits.load(std::memory_order_relaxed);
+        s.misses = slot.misses.load(std::memory_order_relaxed);
+        s.evictions = slot.evictions.load(std::memory_order_relaxed);
+        s.invalidations = slot.invalidations.load(std::memory_order_relaxed);
+        s.peak_bytes = slot.peak_bytes.load(std::memory_order_relaxed);
       }
-      registry.counter("cache.hits")->Add(hits);
-      registry.counter("cache.misses")->Add(misses);
-      registry.counter("cache.evictions")->Add(evictions);
-      registry.counter("cache.invalidations")->Add(invalidations);
-      registry.gauge("cache.peak_bytes")->SetMax(static_cast<double>(peak));
+      ExportCacheStats(stats, &registry);
     }
-    std::unordered_map<std::string_view, StageHists> stage_hists;
-    for (const TaskRecord& rec : records) {
-      auto [it, inserted] = stage_hists.try_emplace(rec.type);
-      if (inserted) it->second = StageHists::Resolve(&registry, rec.type);
-      it->second.Record(rec);
-    }
+    StageRecorder stages(&registry);
+    for (const TaskRecord& rec : report.records) stages.Record(rec);
   }
-
-  RunReport report;
-  report.records = std::move(records);
-  report.makespan = makespan;
-  report.faults.retries = retries;
-  report.faults.dead_nodes = dead_workers;
-  report.attempts = std::move(attempts);
   return report;
 }
 

@@ -47,12 +47,14 @@ namespace taskbench::runtime {
 ///    worker in the domain that produced most of its input bytes —
 ///    the same locality policy the simulated scheduler applies across
 ///    cluster nodes.
-///  - Fault tolerance reuses the retry semantics of the thread-pool
-///    path: a worker death (detected via waitpid) turns its in-flight
-///    tasks into kNodeLost attempts that are re-dispatched to
-///    surviving workers under `options.max_retries`; published blocks
-///    live in the arena, not in the dead worker, so nothing is
-///    recomputed.
+///  - Fault tolerance shares the attempt lifecycle of the other
+///    executors (runtime::AttemptLedger): a worker death (detected via
+///    waitpid) turns its in-flight tasks into kNodeLost attempts that
+///    are re-dispatched to surviving workers under
+///    `options.max_retries`, and a worker's failure keeps its status
+///    code; the coordinator runs the order check at dispatch.
+///    Published blocks live in the arena, not in the dead worker, so
+///    nothing is recomputed.
 ///
 /// Lifecycle. A run that succeeds keeps the plane. A run that fails,
 /// is cancelled or loses a worker shuts its workers down (SIGKILL is

@@ -41,23 +41,25 @@ struct RunOptions {
   // ---------------------------------------------------------------
   // Shared: online invariant checking.
   // ---------------------------------------------------------------
-  /// Verify runtime invariants while executing: every task starts only
-  /// after all its dependencies completed, and every datum access
-  /// observes exactly the version its writer ordinal predicts (no
-  /// stale read, no read of a block that was never published). The
-  /// simulated path additionally verifies conservation laws after the
-  /// run: per-node busy time never exceeds makespan x slot capacity,
-  /// storage-resource byte counters match the graph's block sizes, and
-  /// the scheduler phase breakdown sums to the decision overhead.
-  /// Violations fail the run with a FailedPrecondition status whose
-  /// message starts with "invariant violation".
+  /// Verify runtime invariants while executing, on every executor:
+  /// every attempt starts only after all its task's dependencies
+  /// completed, and every datum access observes exactly the version
+  /// its writer ordinal predicts (no stale read, no read of a block
+  /// that was never published). It holds for first attempts, retries
+  /// and hedged duplicates, and under every fault plan; the one
+  /// exemption is a simulated lineage recompute's reads
+  /// (runtime::AttemptLedger). After the run, the real executors bound
+  /// total busy time by workers x makespan, and the simulator checks
+  /// per-node busy time against makespan x slot capacity, storage byte
+  /// counters against the graph's block sizes, and the scheduler phase
+  /// breakdown against the decision overhead. Violations fail the run
+  /// with a FailedPrecondition status whose message starts with
+  /// "invariant violation".
   ///
   /// On by default: the checks read counters that are maintained
   /// anyway, never perturb the event sequence or any floating-point
   /// accumulation, and cost well under 5% on the thread-pool stress
-  /// suite. Dependency/version checks are skipped while a fault plan
-  /// is active (recovery legitimately re-opens dependencies and
-  /// republishes blocks); the conservation checks stay on.
+  /// suite.
   bool check_invariants = true;
 
   // ---------------------------------------------------------------

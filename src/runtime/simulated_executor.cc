@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +19,9 @@
 #include "hw/slot_index.h"
 #include "obs/metrics.h"
 #include "perf/cost_model.h"
+#include "runtime/attempt_ledger.h"
 #include "runtime/fault.h"
-#include "runtime/invariant_check.h"
+#include "runtime/metrics_export.h"
 #include "runtime/ready_queue.h"
 #include "runtime/scheduler.h"
 #include "sim/bandwidth_resource.h"
@@ -88,11 +89,7 @@ class SimState {
         model_(cluster),
         policy_(ctx.policy.value_or(options.policy)),
         scheduler_(MakeScheduler(policy_)),
-        // Dependency/version checks assume the fault-free execution
-        // order; recovery legitimately re-opens completed deps and
-        // republishes blocks, so they gate off under a fault plan.
-        // The end-of-run conservation checks stay on either way.
-        check_order_(options.check_invariants && options.faults.empty()),
+        ledger_(graph, options, /*simulated=*/true),
         faults_active_(!options.faults.empty()),
         // Hedging only ever arms for the cost-model policy under an
         // active fault plan: without faults there are no slow nodes,
@@ -165,18 +162,11 @@ class SimState {
       locality_ = std::make_unique<LocalityCache>(graph_, &data_home_);
     }
 
-    if (check_order_) {
-      version_oracle_ = VersionOracle::Build(graph_);
-      data_version_.assign(static_cast<size_t>(graph_.num_data()), 0);
-    }
-
     node_dead_.assign(static_cast<size_t>(nodes), 0);
     node_slow_.assign(static_cast<size_t>(nodes), 1.0);
     remaining_deps_.resize(static_cast<size_t>(graph_.num_tasks()));
-    records_.resize(static_cast<size_t>(graph_.num_tasks()));
     task_class_.resize(static_cast<size_t>(graph_.num_tasks()));
     attempt_count_.assign(static_cast<size_t>(graph_.num_tasks()), 0);
-    completed_flag_.assign(static_cast<size_t>(graph_.num_tasks()), 0);
     pending_retry_.assign(static_cast<size_t>(graph_.num_tasks()), 0);
     active_run_.assign(static_cast<size_t>(graph_.num_tasks()), nullptr);
     const bool escalate = policy_ == SchedulingPolicy::kCostModel &&
@@ -248,26 +238,7 @@ class SimState {
     if (metrics_ != nullptr) {
       m_decisions_ = metrics_->counter("sched.decisions");
       m_ready_size_ = metrics_->histogram("sched.ready_tasks");
-      task_type_idx_.resize(static_cast<size_t>(graph_.num_tasks()));
-      std::map<std::string, uint32_t> type_index;
-      for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
-        const std::string& type = graph_.task(t).spec.type;
-        auto [it, inserted] =
-            type_index.emplace(type, static_cast<uint32_t>(type_hists_.size()));
-        if (inserted) {
-          StageHists h;
-          h.deserialize = metrics_->histogram(
-              StrFormat("task.%s.deserialize_s", type.c_str()));
-          h.compute =
-              metrics_->histogram(StrFormat("task.%s.compute_s", type.c_str()));
-          h.serialize = metrics_->histogram(
-              StrFormat("task.%s.serialize_s", type.c_str()));
-          h.duration = metrics_->histogram(
-              StrFormat("task.%s.duration_s", type.c_str()));
-          type_hists_.push_back(h);
-        }
-        task_type_idx_[static_cast<size_t>(t)] = it->second;
-      }
+      stages_.emplace(metrics_);
     }
   }
 
@@ -285,43 +256,42 @@ class SimState {
     ScheduleLoop();
     simulator_.Run();
     if (!failure_.ok()) return failure_;
-    if (completed_ != graph_.num_tasks()) {
+    if (ledger_.num_completed() != graph_.num_tasks()) {
       return Status::FailedPrecondition(StrFormat(
           "workflow stalled: %lld of %lld tasks completed (a task type "
           "may target a processor the cluster lacks%s)",
-          static_cast<long long>(completed_),
+          static_cast<long long>(ledger_.num_completed()),
           static_cast<long long>(graph_.num_tasks()),
           faults_active_
               ? ", or injected faults removed every capable node"
               : ""));
     }
+    RunReport report = ledger_.TakeReport();
     if (options_.check_invariants) {
-      TB_RETURN_IF_ERROR(CheckConservation());
+      TB_RETURN_IF_ERROR(CheckConservation(report));
     }
-    RunReport report;
-    report.records = std::move(records_);
-    report.makespan = makespan_;
     report.scheduler_overhead = scheduler_overhead_;
     const double n = static_cast<double>(decisions_);
     report.sched_phases.ready_pop_s = phase_split_.ready_pop_s * n;
     report.sched_phases.locality_s = phase_split_.locality_s * n;
     report.sched_phases.slot_pick_s = phase_split_.slot_pick_s * n;
     report.sim_events = simulator_.events_executed();
-    if (faults_active_) {
-      report.faults = stats_;
-      report.attempts = std::move(attempts_);
-    }
+    FaultStats& faults = report.faults;  // the ledger's counts so far
+    faults.faults_injected = stats_.faults_injected;
+    faults.storage_faults = stats_.storage_faults;
+    faults.lost_blocks = stats_.lost_blocks;
+    faults.dead_nodes = stats_.dead_nodes;
     if (metrics_ != nullptr) {
       metrics_->gauge("sim.max_pending_events")
           ->SetMax(static_cast<double>(simulator_.max_pending_events()));
       metrics_->counter("sim.events")->Add(
           static_cast<int64_t>(simulator_.events_executed()));
       if (faults_active_) {
-        metrics_->counter("faults.injected")->Add(stats_.faults_injected);
-        metrics_->counter("faults.retries")->Add(stats_.retries);
-        metrics_->counter("faults.storage_faults")->Add(stats_.storage_faults);
+        metrics_->counter("faults.injected")->Add(faults.faults_injected);
+        metrics_->counter("faults.retries")->Add(faults.retries);
+        metrics_->counter("faults.storage_faults")->Add(faults.storage_faults);
         metrics_->counter("faults.recomputed_tasks")
-            ->Add(stats_.recomputed_tasks);
+            ->Add(faults.recomputed_tasks);
       }
     }
     return report;
@@ -437,19 +407,6 @@ class SimState {
   bool DrawStorageFault() {
     return options_.faults.storage_fault_rate > 0 &&
            storage_rng_.NextDouble() < options_.faults.storage_fault_rate;
-  }
-
-  void RecordAttempt(const TaskRun* run, AttemptOutcome outcome) {
-    if (!faults_active_) return;
-    TaskAttempt a;
-    a.task = run->id;
-    a.attempt = run->attempt;
-    a.node = run->node;
-    a.processor = run->processor;
-    a.start = run->dispatch_done;
-    a.end = simulator_.Now();
-    a.outcome = outcome;
-    attempts_.push_back(a);
   }
 
   /// Modeled uncontended latency of one execution of `t` on the
@@ -656,7 +613,7 @@ class SimState {
       run->twin = twin;
       twin->live_index = live_runs_.size();
       live_runs_.push_back(twin);
-      ++stats_.hedges;
+      ledger_.CountHedge();
       twin->inflight = 1;
       simulator_.At(master_free_at_, [this, twin]() {
         if (!Enter(twin)) return;
@@ -675,8 +632,10 @@ class SimState {
     if (loser == nullptr) return;
     winner->twin = nullptr;
     loser->twin = nullptr;
-    RecordAttempt(loser, AttemptOutcome::kHedgeCancelled);
-    // A loser on a dead node would have been detached by KillRun
+    ledger_.Log(TaskAttempt{loser->id, loser->attempt, loser->node,
+                            loser->processor, loser->dispatch_done,
+                            simulator_.Now(), AttemptOutcome::kHedgeCancelled});
+    // A loser on a dead node would have been detached by EndAttempt
     // already, so this slot release is always against a live index.
     auto& slots =
         loser->processor == Processor::kCpu ? cpu_slots_ : gpu_slots_;
@@ -687,17 +646,9 @@ class SimState {
   }
 
   void StartTask(TaskRun* run) {
-    if (check_order_) {
-      for (TaskId dep : graph_.task(run->id).deps) {
-        if (completed_flag_[static_cast<size_t>(dep)] == 0) {
-          Fail(Status::FailedPrecondition(StrFormat(
-              "invariant violation: task %lld started before dependency "
-              "%lld completed",
-              static_cast<long long>(run->id),
-              static_cast<long long>(dep))));
-          return;
-        }
-      }
+    if (Status order = ledger_.CheckDeps(run->id); !order.ok()) {
+      Fail(std::move(order));
+      return;
     }
     run->started = true;
     run->dispatch_done = simulator_.Now();
@@ -721,21 +672,9 @@ class SimState {
     }
     const size_t param_idx = run->next_input;
     const DataId d = params[run->next_input++].data;
-    if (check_order_) {
-      // An INOUT's read side expects the version preceding its own
-      // write ordinal.
-      const int expected =
-          version_oracle_.ordinal(run->id, param_idx) -
-          (params[param_idx].dir == Dir::kInOut ? 1 : 0);
-      const int actual = data_version_[static_cast<size_t>(d)];
-      if (actual != expected) {
-        Fail(Status::FailedPrecondition(StrFormat(
-            "invariant violation: task %lld read datum %lld at version "
-            "%d, expected %d (stale or unpublished block)",
-            static_cast<long long>(run->id), static_cast<long long>(d),
-            actual, expected)));
-        return;
-      }
+    if (Status order = ledger_.CheckRead(run->id, param_idx); !order.ok()) {
+      Fail(std::move(order));
+      return;
     }
     const uint64_t bytes = graph_.data(d).bytes;
     run->io_fault = DrawStorageFault();
@@ -818,13 +757,7 @@ class SimState {
       FinishTask(run);
       return;
     }
-    const size_t param_idx = run->next_output;
     const DataId d = params[run->next_output++].data;
-    if (check_order_) {
-      // Publish the writer ordinal (idempotent set, not increment).
-      data_version_[static_cast<size_t>(d)] =
-          version_oracle_.ordinal(run->id, param_idx);
-    }
     const uint64_t bytes = graph_.data(d).bytes;
     // Outputs are written to the executing node's disk (local) or to
     // the shared filesystem; either way the datum's home becomes the
@@ -871,15 +804,9 @@ class SimState {
           if (locality_ != nullptr) locality_->OnDataHomeChanged(d);
         }
       }
-      // Cancel the loser before recording this completion when it is
-      // the earlier attempt, after otherwise — the per-task attempt
-      // log stays monotonic in attempt number either way.
-      if (run->twin != nullptr && run->twin->attempt < run->attempt) {
-        CancelHedge(run);
-      }
     }
 
-    TaskRecord& rec = records_[static_cast<size_t>(run->id)];
+    TaskRecord rec;
     rec.task = run->id;
     rec.type = task.spec.type;
     rec.level = task.level;
@@ -897,25 +824,17 @@ class SimState {
     } else {
       rec.stages.parallel_fraction = model_.CpuParallelFraction(cost);
     }
-    makespan_ = std::max(makespan_, rec.end);
     if (metrics_ != nullptr) {
-      const StageHists& h =
-          type_hists_[task_type_idx_[static_cast<size_t>(run->id)]];
-      h.deserialize->Record(rec.stages.deserialize);
-      h.compute->Record(rec.stages.serial_fraction +
-                        rec.stages.parallel_fraction +
-                        rec.stages.cpu_gpu_comm);
-      h.serialize->Record(rec.stages.serialize);
-      h.duration->Record(rec.duration());
+      stages_->Record(rec);
     }
-    RecordAttempt(run, AttemptOutcome::kCompleted);
     if (run->hedged && run->twin != nullptr) CancelHedge(run);
 
     auto& slots =
         run->processor == Processor::kCpu ? cpu_slots_ : gpu_slots_;
     slots.Release(run->node);
-    completed_flag_[static_cast<size_t>(run->id)] = 1;
-    ++completed_;
+    // A hedge loser is cancelled before it can finish, so this attempt
+    // alone completes the task; completion publishes its versions.
+    ledger_.Complete(std::move(rec));
 
     for (TaskId succ : task.successors) {
       const auto s = static_cast<size_t>(succ);
@@ -924,7 +843,7 @@ class SimState {
       // re-armed. Impossible fault-free (a successor never runs before
       // all its deps), so the guard is gated off the hot path.
       if (faults_active_ &&
-          (completed_flag_[s] != 0 || active_run_[s] != nullptr)) {
+          (ledger_.completed(succ) || active_run_[s] != nullptr)) {
         continue;
       }
       if (--remaining_deps_[s] == 0) {
@@ -940,22 +859,23 @@ class SimState {
   /// End-of-run conservation laws (RunOptions::check_invariants).
   /// Pure reads over state the run maintained anyway — nothing here
   /// can perturb the event sequence or the report.
-  Status CheckConservation() const {
+  Status CheckConservation(const RunReport& report) const {
     // (1) Occupancy: a slot runs one task at a time, so per-node busy
     // time per processor class never exceeds makespan x capacity.
     // Holds under faults too — records hold only completed attempts
     // and capacity only ever shrinks.
-    const double time_tol = 1e-9 * makespan_ + 1e-12;
+    const double makespan = report.makespan;
+    const double time_tol = 1e-9 * makespan + 1e-12;
     std::vector<double> cpu_busy(static_cast<size_t>(cluster_.num_nodes), 0);
     std::vector<double> gpu_busy(static_cast<size_t>(cluster_.num_nodes), 0);
-    for (const TaskRecord& rec : records_) {
+    for (const TaskRecord& rec : report.records) {
       if (rec.task < 0 || rec.node < 0) continue;
       auto& busy = rec.processor == Processor::kCpu ? cpu_busy : gpu_busy;
       busy[static_cast<size_t>(rec.node)] += rec.duration();
     }
     for (int n = 0; n < cluster_.num_nodes; ++n) {
-      const double cpu_cap = makespan_ * cluster_.cores_per_node;
-      const double gpu_cap = makespan_ * cluster_.gpus_per_node;
+      const double cpu_cap = makespan * cluster_.cores_per_node;
+      const double gpu_cap = makespan * cluster_.gpus_per_node;
       if (cpu_busy[static_cast<size_t>(n)] >
               cpu_cap + time_tol * cluster_.cores_per_node ||
           gpu_busy[static_cast<size_t>(n)] >
@@ -964,7 +884,7 @@ class SimState {
             "invariant violation: node %d busy time (cpu=%.17g gpu=%.17g) "
             "exceeds makespan %.17g x slot capacity (%d cores, %d gpus)",
             n, cpu_busy[static_cast<size_t>(n)],
-            gpu_busy[static_cast<size_t>(n)], makespan_,
+            gpu_busy[static_cast<size_t>(n)], makespan,
             cluster_.cores_per_node, cluster_.gpus_per_node));
       }
     }
@@ -1047,81 +967,49 @@ class SimState {
   }
 
   /// Transient storage fault: the op consumed its full duration, then
-  /// failed. The attempt is torn down (slot released — the node is
-  /// still alive) and the task retried with backoff.
+  /// failed. The attempt ends on its still-live node.
   void OnStorageFault(TaskRun* run) {
     ++stats_.storage_faults;
-    RecordAttempt(run, AttemptOutcome::kStorageFault);
-    auto& slots =
-        run->processor == Processor::kCpu ? cpu_slots_ : gpu_slots_;
-    slots.Release(run->node);
+    (run->processor == Processor::kCpu ? cpu_slots_ : gpu_slots_)
+        .Release(run->node);
+    EndAttempt(run, AttemptOutcome::kStorageFault);
+  }
+
+  /// Ends a failed attempt: logs it, retires it, and retries its task
+  /// after exponential backoff under the budget (failing the run once
+  /// it is spent), unless its hedge twin is still running the task,
+  /// which then finishes alone and takes over the active-run slot (its
+  /// outputs stay staged), so lineage recovery still sees a live
+  /// writer. The caller has released, drained or removed the slot. A
+  /// run with continuations still queued (killed mid-flight) is
+  /// recycled once they drain through Enter().
+  void EndAttempt(TaskRun* run, AttemptOutcome outcome) {
+    ledger_.Log(TaskAttempt{run->id, run->attempt, run->node, run->processor,
+                            run->dispatch_done, simulator_.Now(), outcome});
     const TaskId id = run->id;
     const int attempt = run->attempt;
     const int node = run->node;
-    if (run->hedged && run->twin != nullptr) {
-      // The twin is still running this task: detach the pair and let
-      // it finish alone instead of burning a retry. Keep the task's
-      // active-run registration pointing at the survivor so lineage
-      // recovery still sees a live writer.
-      DetachTwin(run);
-      RetireRun(run);
+    TaskRun* twin = run->hedged ? run->twin : nullptr;
+    if (twin != nullptr) {
+      run->twin = nullptr;
+      twin->twin = nullptr;
+      if (active_run_[static_cast<size_t>(id)] == run) {
+        active_run_[static_cast<size_t>(id)] = twin;
+      }
+    }
+    RetireRun(run);
+    if (run->inflight > 0) {
+      run->cancelled = true;
+    } else {
       ReleaseRun(run);
+    }
+    if (twin != nullptr) return;
+    Status retry = ledger_.Retry(id, attempt, "node", node,
+                                 Status::ResourceExhausted(ToString(outcome)));
+    if (!retry.ok()) {
+      Fail(std::move(retry));
       return;
     }
-    RetireRun(run);
-    ReleaseRun(run);
-    RetryOrFail(id, attempt, node);
-  }
-
-  /// Detaches `run` from its hedge pair after `run` failed; the
-  /// surviving twin keeps hedged=true (its outputs stay staged and
-  /// publish when it finishes) and takes over the active-run slot.
-  void DetachTwin(TaskRun* run) {
-    TaskRun* twin = run->twin;
-    run->twin = nullptr;
-    twin->twin = nullptr;
-    if (active_run_[static_cast<size_t>(run->id)] == run) {
-      active_run_[static_cast<size_t>(run->id)] = twin;
-    }
-  }
-
-  /// Kills a live run whose processor died under it. The slot is NOT
-  /// released — the caller already drained / shrank the index — and
-  /// the pooled TaskRun is recycled once its queued continuations
-  /// drain through Enter().
-  void KillRun(TaskRun* run, AttemptOutcome outcome) {
-    RecordAttempt(run, outcome);
-    run->cancelled = true;
-    const TaskId id = run->id;
-    const int attempt = run->attempt;
-    const int node = run->node;
-    if (run->hedged && run->twin != nullptr) {
-      // The duplicate survives the fault that took this attempt down —
-      // exactly the scenario hedging exists for. No retry needed.
-      DetachTwin(run);
-      RetireRun(run);
-      TB_CHECK(run->inflight > 0) << "killed a run with no queued event";
-      return;
-    }
-    RetireRun(run);
-    TB_CHECK(run->inflight > 0) << "killed a run with no queued event";
-    RetryOrFail(id, attempt, node);
-  }
-
-  /// Schedules attempt `attempt + 1` of `id` after exponential
-  /// backoff, or fails the whole run when the retry budget is spent.
-  void RetryOrFail(TaskId id, int attempt, int node) {
-    if (attempt > options_.max_retries) {
-      Fail(Status::ResourceExhausted(
-               StrFormat("retries exhausted (max_retries=%d)",
-                         options_.max_retries))
-               .WithContext(StrFormat(
-                   "task %lld (%s) attempt %d on node %d",
-                   static_cast<long long>(id),
-                   graph_.task(id).spec.type.c_str(), attempt, node)));
-      return;
-    }
-    ++stats_.retries;
     pending_retry_[static_cast<size_t>(id)] = 1;
     simulator_.After(options_.RetryDelay(attempt), [this, id]() {
       if (!failure_.ok()) return;
@@ -1149,36 +1037,38 @@ class SimState {
     for (TaskRun* run : live_runs_) {
       if (run->node == n) victims.push_back(run);
     }
-    for (TaskRun* run : victims) KillRun(run, AttemptOutcome::kNodeLost);
+    for (TaskRun* run : victims) EndAttempt(run, AttemptOutcome::kNodeLost);
     if (!failure_.ok()) return;
 
     // Lineage recovery: every block homed on the dead node is lost;
-    // re-materialize each by re-running its producing task off the
-    // live TaskGraph (transitively, when the producer's own inputs
-    // were lost too). Initial inputs have no producer — they are
+    // re-materialize each by reopening its producing task off the live
+    // TaskGraph (a producer whose own inputs were lost too is reopened
+    // for them as well). Initial inputs have no producer — they are
     // re-read from their durable origin onto a live node.
     EnsureWritersIndex();
-    if (rerun_marked_.empty()) {
-      rerun_marked_.assign(static_cast<size_t>(graph_.num_tasks()), 0);
-    }
-    std::vector<TaskId> rerun;
     for (DataId d = 0; d < graph_.num_data(); ++d) {
-      if (data_home_[static_cast<size_t>(d)] == n) LoseDatum(d, &rerun);
+      if (data_home_[static_cast<size_t>(d)] == n) LoseDatum(d);
     }
-    while (!rerun.empty()) {
-      const TaskId w = rerun.back();
-      rerun.pop_back();
-      for (const Param& p : graph_.task(w).spec.params) {
-        if (p.dir != Dir::kOut &&
-            data_home_[static_cast<size_t>(p.data)] == n) {
-          LoseDatum(p.data, &rerun);
+
+    // A live attempt one of whose dependencies the crash reopened
+    // started too early now: end it like a lost one (its slot is on a
+    // live node) before the countdowns are rebuilt, so its retry waits
+    // for the recompute like any other successor.
+    victims.clear();
+    for (TaskRun* run : live_runs_) {
+      for (TaskId dep : graph_.task(run->id).deps) {
+        if (!ledger_.completed(dep)) {
+          victims.push_back(run);
+          break;
         }
       }
     }
-    for (TaskId t : rerun_marked_list_) {
-      rerun_marked_[static_cast<size_t>(t)] = 0;
+    for (TaskRun* run : victims) {
+      (run->processor == Processor::kCpu ? cpu_slots_ : gpu_slots_)
+          .Release(run->node);
+      EndAttempt(run, AttemptOutcome::kNodeLost);
+      if (!failure_.ok()) return;
     }
-    rerun_marked_list_.clear();
 
     RebuildAfterCrash();
   }
@@ -1201,7 +1091,7 @@ class SimState {
   /// INOUT approximation: the block's value is restored by re-running
   /// only the last completed writer, not the full INOUT chain — exact
   /// for single-assignment data, conservative-in-time otherwise.
-  void LoseDatum(DataId d, std::vector<TaskId>* rerun) {
+  void LoseDatum(DataId d) {
     ++stats_.lost_blocks;
     const auto ds = static_cast<size_t>(d);
     TaskId w = -1;
@@ -1214,8 +1104,8 @@ class SimState {
         if (locality_ != nullptr) locality_->OnDataHomeChanged(d);
         return;
       }
-      if (completed_flag_[static_cast<size_t>(*it)] != 0 ||
-          rerun_marked_[static_cast<size_t>(*it)] != 0) {
+      // A writer reopened earlier re-produces the value when it runs.
+      if (ledger_.completed(*it) || ledger_.reopened(*it)) {
         w = *it;
         break;
       }
@@ -1229,14 +1119,7 @@ class SimState {
     }
     data_home_[ds] = -1;
     if (locality_ != nullptr) locality_->OnDataHomeChanged(d);
-    if (rerun_marked_[static_cast<size_t>(w)] == 0) {
-      rerun_marked_[static_cast<size_t>(w)] = 1;
-      rerun_marked_list_.push_back(w);
-      completed_flag_[static_cast<size_t>(w)] = 0;
-      --completed_;
-      ++stats_.recomputed_tasks;
-      rerun->push_back(w);
-    }
+    if (ledger_.completed(w)) ledger_.Reopen(w);
   }
 
   int NextLiveNode() {
@@ -1259,10 +1142,10 @@ class SimState {
     if (scorer_) ready_.SetScorer(scorer_);
     for (TaskId t = 0; t < graph_.num_tasks(); ++t) {
       const auto ts = static_cast<size_t>(t);
-      if (completed_flag_[ts] != 0 || active_run_[ts] != nullptr) continue;
+      if (ledger_.completed(t) || active_run_[ts] != nullptr) continue;
       int deps = 0;
       for (TaskId dep : graph_.task(t).deps) {
-        if (completed_flag_[static_cast<size_t>(dep)] == 0) ++deps;
+        if (!ledger_.completed(dep)) ++deps;
       }
       remaining_deps_[ts] = deps;
       if (deps == 0 && pending_retry_[ts] == 0) {
@@ -1293,7 +1176,7 @@ class SimState {
     }
     if (victim == nullptr) return;
     gpu_slots_.RemoveDevice(n);
-    KillRun(victim, AttemptOutcome::kDeviceLost);
+    EndAttempt(victim, AttemptOutcome::kDeviceLost);
   }
 
   void OnSlowNode(int n, double factor) {
@@ -1325,7 +1208,6 @@ class SimState {
   std::unique_ptr<LocalityCache> locality_;
   ReadyQueue ready_;
   std::vector<int> remaining_deps_;
-  std::vector<TaskRecord> records_;
 
   // Cost-model policy state (empty for the paper's two policies).
   std::vector<double> est_;         ///< modeled per-task duration
@@ -1337,12 +1219,10 @@ class SimState {
   std::vector<TaskRun*> free_runs_;
   std::vector<TaskRun*> live_runs_;
 
-  // Online invariant checking (RunOptions::check_invariants). The
-  // oracle and version vector exist only when the order checks are
-  // active; CheckConservation reads run state that exists anyway.
-  const bool check_order_;
-  VersionOracle version_oracle_;
-  std::vector<int> data_version_;
+  // Completion, the order check (RunOptions::check_invariants, on
+  // under fault plans too), the retry budget and the attempt log.
+  // CheckConservation reads run state that exists anyway.
+  AttemptLedger ledger_;
 
   // Fault-tolerance state. Allocated unconditionally (cheap), but only
   // mutated by fault paths; `faults_active_` gates every behavioural
@@ -1353,38 +1233,25 @@ class SimState {
   std::vector<char> node_dead_;
   std::vector<double> node_slow_;
   std::vector<int> attempt_count_;
-  std::vector<char> completed_flag_;
   std::vector<char> pending_retry_;
   std::vector<TaskRun*> active_run_;
   std::vector<std::vector<TaskId>> writers_;  ///< lazily built lineage
-  std::vector<char> rerun_marked_;
-  std::vector<TaskId> rerun_marked_list_;
   int relocate_rr_ = 0;
-  FaultStats stats_;
-  std::vector<TaskAttempt> attempts_;
+  FaultStats stats_;  ///< retries, hedges and recomputes are ledger_'s
 
   // Telemetry. All null/empty when options.metrics is null; the only
   // always-on additions are the decision counter and the phase split
   // (folded into the report after the run), neither of which touches
   // the event sequence.
-  struct StageHists {
-    obs::Histogram* deserialize = nullptr;
-    obs::Histogram* compute = nullptr;
-    obs::Histogram* serialize = nullptr;
-    obs::Histogram* duration = nullptr;
-  };
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_decisions_ = nullptr;
   obs::Histogram* m_ready_size_ = nullptr;
-  std::vector<StageHists> type_hists_;
-  std::vector<uint32_t> task_type_idx_;
+  std::optional<StageRecorder> stages_;
   SchedulerPhaseBreakdown phase_split_;
   int64_t decisions_ = 0;
 
   double master_free_at_ = 0;
   double scheduler_overhead_ = 0;
-  double makespan_ = 0;
-  int64_t completed_ = 0;
   Status failure_;
 };
 

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,7 +16,8 @@
 #include "common/strings.h"
 #include "hw/topology.h"
 #include "obs/metrics.h"
-#include "runtime/invariant_check.h"
+#include "runtime/attempt_body.h"
+#include "runtime/attempt_ledger.h"
 #include "runtime/metrics_export.h"
 #include "runtime/sharded_value_store.h"
 #include "runtime/work_stealing_queue.h"
@@ -52,7 +52,7 @@ struct WorkerTelemetry {
   obs::Counter* tasks = nullptr;
   obs::Counter* steals = nullptr;
   obs::Counter* parks = nullptr;
-  std::vector<StageHists> types;  ///< index-aligned with the type list
+  StageRecorder stages{&registry};
 };
 
 /// Serializes `m` straight into the store's slot for `key`: one pass.
@@ -75,6 +75,74 @@ Result<data::Matrix> ReadBlock(const storage::BlockStorage& store,
   }));
   return m;
 }
+
+/// The storage-mode plane: blocks live serialized under the run's keys;
+/// a block's version is the ledger's writer ordinal for the access.
+class StoragePlane final : public BlockPlane {
+ public:
+  StoragePlane(storage::BlockStorage& store,
+               const std::vector<std::string>& keys,
+               const AttemptLedger& ledger)
+      : store_(store), keys_(keys), ledger_(ledger) {}
+
+  Result<uint64_t> ReadVersion(TaskId t, size_t param, DataId) override {
+    return static_cast<uint64_t>(ledger_.read_version(t, param));
+  }
+  Result<data::Matrix> Copy(DataId d, uint64_t, double* seconds) override {
+    const Clock::time_point start = Clock::now();
+    TB_ASSIGN_OR_RETURN(data::Matrix m,
+                        ReadBlock(store_, keys_[static_cast<size_t>(d)]));
+    *seconds += SecondsSince(start);
+    return m;
+  }
+  Result<uint64_t> Store(TaskId t, size_t param, DataId d,
+                         data::Matrix& value, double* seconds) override {
+    const Clock::time_point start = Clock::now();
+    TB_RETURN_IF_ERROR(
+        WriteBlock(store_, keys_[static_cast<size_t>(d)], value));
+    *seconds += SecondsSince(start);
+    return static_cast<uint64_t>(ledger_.write_version(t, param));
+  }
+
+ private:
+  storage::BlockStorage& store_;
+  const std::vector<std::string>& keys_;
+  const AttemptLedger& ledger_;
+};
+
+/// The memory-mode plane: blocks live as shared matrices in the run's
+/// value store. An IN read shares the stored value (one stripe lock and
+/// a refcount bump); nothing is serialized, so stage times stay zero.
+class MemoryPlane final : public BlockPlane {
+ public:
+  explicit MemoryPlane(ShardedValueStore& values) : values_(values) {}
+
+  Result<uint64_t> ReadVersion(TaskId, size_t, DataId) override { return 0; }
+  Result<std::shared_ptr<const data::Matrix>> Share(DataId d, uint64_t,
+                                                    double*) override {
+    std::shared_ptr<data::Matrix> value = values_.Get(d);
+    if (value == nullptr) {
+      return Status::NotFound(
+          StrFormat("datum %lld has no value; was it ever written?",
+                    static_cast<long long>(d)));
+    }
+    return std::shared_ptr<const data::Matrix>(std::move(value));
+  }
+  Result<data::Matrix> Copy(DataId d, uint64_t version,
+                            double* seconds) override {
+    TB_ASSIGN_OR_RETURN(const std::shared_ptr<const data::Matrix> value,
+                        Share(d, version, seconds));
+    return *value;
+  }
+  Result<uint64_t> Store(TaskId, size_t, DataId d, data::Matrix& value,
+                         double*) override {
+    values_.Put(d, std::make_shared<data::Matrix>(std::move(value)));
+    return 0;
+  }
+
+ private:
+  ShardedValueStore& values_;
+};
 
 }  // namespace
 
@@ -111,6 +179,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
                                               const RunContext& ctx) {
   TB_RETURN_IF_ERROR(options_.Validate());
   TB_RETURN_IF_ERROR(graph.Validate());
+  TB_RETURN_IF_ERROR(CheckKernels(graph, "thread-pool"));
 
   // Any run may rewrite scope-0 keys the post-run Fetch cache was
   // built from; drop it wholesale (versions are per-run ordinals and
@@ -129,15 +198,15 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
   // ----------------------------------------------------------------
   // Shared pool state. The scheduling fast path is lock-free: one
-  // Chase–Lev deque per worker, atomic dependency counters, atomic
-  // completion count. Mutexes remain only at the edges — parking idle
-  // workers, recording retry attempts, and publishing the failure
-  // status — none of which is touched on the fault-free hot path.
+  // Chase–Lev deque per worker, atomic dependency counters, and the
+  // ledger's atomic claims and completion count. Mutexes remain only
+  // at the edges — parking idle workers, the attempt log, and
+  // publishing the failure status — none of which is touched on the
+  // fault-free hot path.
   // ----------------------------------------------------------------
   struct Pool {
     std::vector<WorkStealingQueue<TaskId>> queues;
     std::vector<std::atomic<int>> remaining_deps;
-    std::atomic<int64_t> completed{0};
     // Tasks pushed to some deque and not yet claimed. Part of the
     // Dekker-style handshake with parking: producers bump it (seq_cst)
     // before checking sleepers; a parking worker registers as a
@@ -149,10 +218,8 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     std::condition_variable park_cv;
     std::atomic<int> sleepers{0};
 
-    std::mutex fault_mu;  // guards failure, attempts, retries
+    std::mutex failure_mu;  // guards failure
     Status failure;
-    std::vector<TaskAttempt> attempts;
-    int64_t retries = 0;
   } pool;
 
   pool.queues.reserve(static_cast<size_t>(num_workers));
@@ -181,31 +248,11 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   }
   pool.num_ready.store(initially_ready, std::memory_order_relaxed);
 
-  // Online invariant checking: dependency-completion flags plus the
-  // datum version each access must observe (writer ordinals, set
-  // idempotently so retries cannot trip the check). The checks read
-  // and write a handful of atomics per task — no locks, no effect on
-  // scheduling or values.
-  const bool check = options_.check_invariants;
-  // The versioned block cache keys entries by the same writer
-  // ordinals the invariant checker predicts, so the oracle doubles as
-  // the cache's version source (built once, shared by both features).
+  // Completion, the order check, the retry budget and the attempt log
+  // (runtime/attempt_ledger.h). Its writer ordinals double as the
+  // block cache's versions.
+  AttemptLedger ledger(graph, options_, /*simulated=*/false);
   const bool use_cache = options_.block_cache && options_.use_storage;
-  VersionOracle oracle;
-  std::vector<std::atomic<int>> data_version;
-  std::vector<std::atomic<char>> completed_flag;
-  if (check || use_cache) {
-    oracle = VersionOracle::Build(graph);
-  }
-  if (check) {
-    std::vector<std::atomic<int>> versions(
-        static_cast<size_t>(graph.num_data()));
-    data_version = std::move(versions);
-    std::vector<std::atomic<char>> flags(static_cast<size_t>(total));
-    completed_flag = std::move(flags);
-    for (auto& v : data_version) v.store(0, std::memory_order_relaxed);
-    for (auto& f : completed_flag) f.store(0, std::memory_order_relaxed);
-  }
 
   // Memory-mode value store; unused (size 0) in storage mode.
   ShardedValueStore values(options_.use_storage ? 0 : graph.num_data());
@@ -218,6 +265,12 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     for (DataId d = 0; d < graph.num_data(); ++d) {
       keys.push_back(StorageKey(ctx.scope, d));
     }
+  }
+  std::unique_ptr<BlockPlane> plane;
+  if (options_.use_storage) {
+    plane = std::make_unique<StoragePlane>(*store_, keys, ledger);
+  } else {
+    plane = std::make_unique<MemoryPlane>(values);
   }
 
   // Scoped runs clean their keys out of the shared store on every
@@ -252,58 +305,46 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   std::atomic<size_t> next_stage{0};
   std::atomic<size_t> unstaged{initial.size()};
 
-  std::vector<TaskRecord> records(static_cast<size_t>(total));
   const Clock::time_point origin = Clock::now();
 
   // ----------------------------------------------------------------
   // Speculative hedging (cost-model policy, docs/SCHEDULERS.md): an
   // idle worker that finds no work duplicates the longest-running
-  // task instead of parking; the first attempt to finish claims the
-  // task with one atomic exchange and is the only attempt that
-  // publishes anything (record, writer ordinals, successor release,
-  // completion count) — the loser computed into locals and discards
-  // them, so it leaves no trace.
+  // task instead of parking. Primary and duplicate race for the
+  // ledger's claim once their kernel has run; only the winner stores
+  // its outputs, records the task and releases its successors, and
+  // the loser drops its outputs unstored.
   //
-  // Only tasks whose re-execution is provably idempotent are
-  // hedgeable: no INOUT params (a duplicate would double-apply the
-  // in-place update) and every accessed datum has at most one writer
-  // in the whole graph (a zombie attempt can then neither observe a
-  // rewritten input nor clobber a successor's newer output — its
-  // storage writes are byte-identical replays). Gated on
-  // max_retries == 0 so hedging never interleaves with the retry /
-  // attempt-log machinery.
+  // Only tasks whose re-execution cannot read another input are
+  // hedgeable: no INOUT params, and every datum they access has at
+  // most one version in the whole run — one writer and no initial
+  // value, or an initial value and no writer. A late duplicate then
+  // reads exactly what the primary read, and the order check holds
+  // for it. Gated on max_retries == 0 so hedging never interleaves
+  // with retries.
   // ----------------------------------------------------------------
   const bool hedge = ctx.policy.value_or(options_.policy) ==
                          SchedulingPolicy::kCostModel &&
                      !options_.sched.disable_hedging && num_workers > 1 &&
                      options_.max_retries == 0;
   std::vector<char> hedgeable;
-  std::vector<std::atomic<char>> hedge_claim;
   std::vector<std::atomic<char>> hedge_tried;
   std::vector<std::atomic<int64_t>> running_task;
   std::vector<std::atomic<int64_t>> running_since_ns;
   if (hedge) {
-    std::vector<int> writer_count(static_cast<size_t>(graph.num_data()), 0);
-    for (TaskId t = 0; t < total; ++t) {
-      for (const Param& p : graph.task(t).spec.params) {
-        if (p.dir != Dir::kIn) ++writer_count[static_cast<size_t>(p.data)];
-      }
-    }
     hedgeable.assign(static_cast<size_t>(total), 1);
     for (TaskId t = 0; t < total; ++t) {
       for (const Param& p : graph.task(t).spec.params) {
-        if (p.dir == Dir::kInOut ||
-            writer_count[static_cast<size_t>(p.data)] > 1) {
+        const int versions = ledger.writers(p.data) +
+                             (graph.data(p.data).value.has_value() ? 1 : 0);
+        if (p.dir == Dir::kInOut || versions > 1) {
           hedgeable[static_cast<size_t>(t)] = 0;
           break;
         }
       }
     }
-    std::vector<std::atomic<char>> claims(static_cast<size_t>(total));
-    hedge_claim = std::move(claims);
     std::vector<std::atomic<char>> tried(static_cast<size_t>(total));
     hedge_tried = std::move(tried);
-    for (auto& c : hedge_claim) c.store(0, std::memory_order_relaxed);
     for (auto& c : hedge_tried) c.store(0, std::memory_order_relaxed);
     std::vector<std::atomic<int64_t>> rt(static_cast<size_t>(num_workers));
     running_task = std::move(rt);
@@ -313,37 +354,23 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     for (auto& r : running_since_ns) r.store(0, std::memory_order_relaxed);
   }
 
-  // Telemetry: per-worker registries plus a per-task type index, all
-  // resolved up front so the workers only bump pre-looked-up
-  // instruments. Entirely skipped when no registry was supplied. A
-  // per-run registry in the context scopes the instruments to this
-  // submission; the executor-wide RunOptions registry is the default.
+  // Telemetry: per-worker registries, their counters resolved up front
+  // and each task type's histograms on first sight, so the workers
+  // record without synchronization. Entirely skipped when no registry
+  // was supplied. A per-run registry in the context scopes the
+  // instruments to this submission; the executor-wide RunOptions
+  // registry is the default.
   obs::MetricsRegistry* const metrics_sink =
       ctx.metrics != nullptr ? ctx.metrics : options_.metrics;
   const bool telemetry = metrics_sink != nullptr;
-  std::vector<uint32_t> task_type_idx;
   std::vector<std::unique_ptr<WorkerTelemetry>> worker_telemetry;
   if (telemetry) {
-    std::vector<std::string> type_names;
-    std::map<std::string, uint32_t> type_index;
-    task_type_idx.resize(static_cast<size_t>(total));
-    for (TaskId t = 0; t < total; ++t) {
-      const std::string& type = graph.task(t).spec.type;
-      auto [it, inserted] =
-          type_index.emplace(type, static_cast<uint32_t>(type_names.size()));
-      if (inserted) type_names.push_back(type);
-      task_type_idx[static_cast<size_t>(t)] = it->second;
-    }
     worker_telemetry.reserve(static_cast<size_t>(num_workers));
     for (int w = 0; w < num_workers; ++w) {
       auto wt = std::make_unique<WorkerTelemetry>();
       wt->tasks = wt->registry.counter("pool.tasks");
       wt->steals = wt->registry.counter("pool.steals");
       wt->parks = wt->registry.counter("pool.parks");
-      wt->types.reserve(type_names.size());
-      for (const std::string& type : type_names) {
-        wt->types.push_back(StageHists::Resolve(&wt->registry, type));
-      }
       worker_telemetry.push_back(std::move(wt));
     }
   }
@@ -351,7 +378,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // Per-worker versioned block caches (storage mode, opt-in): hot
   // read-mostly inputs deserialize once per worker instead of once
   // per read. Entries are keyed by datum id + the writer ordinal the
-  // oracle predicts for the access, so an INOUT rewrite looks up a
+  // ledger predicts for the access, so an INOUT rewrite looks up a
   // new version and every stale entry is unreachable by construction.
   // Owned outside the worker lambda so the stats survive the join for
   // the telemetry merge.
@@ -395,199 +422,9 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     storage::BlockCache* cache = nullptr;
   };
 
-  // Invariant "cache-served reads match the version oracle": a hit is
-  // only legal when the data plane's own version bookkeeping agrees
-  // with the version the entry was cached under.
-  auto verify_cache_hit = [&](DataId d, uint64_t version) -> Status {
-    if (!check) return Status::OK();
-    const int actual = data_version[static_cast<size_t>(d)].load(
-        std::memory_order_acquire);
-    if (static_cast<uint64_t>(actual) != version) {
-      return Status::FailedPrecondition(StrFormat(
-          "invariant violation: block cache served datum %lld at "
-          "version %llu but the data plane is at version %d",
-          static_cast<long long>(d),
-          static_cast<unsigned long long>(version), actual));
-    }
-    return Status::OK();
-  };
-
-  // Private deserialization of `d` straight from the stored bytes —
-  // the uncached storage read path.
-  auto read_from_store = [&](DataId d,
-                             double* deser_seconds) -> Result<data::Matrix> {
-    const double t0 = SecondsSince(origin);
-    TB_ASSIGN_OR_RETURN(data::Matrix m,
-                        ReadBlock(*store_, keys[static_cast<size_t>(d)]));
-    *deser_seconds += SecondsSince(origin) - t0;
-    return m;
-  };
-
-  // Shared ownership of the current value of `d` at `version`, timing
-  // the deserialization. In memory mode the critical section is one
-  // stripe lock and a refcount bump; no block is ever copied under a
-  // lock. Storage mode deserializes straight from the stored bytes —
-  // through the worker's block cache when enabled, where a warm read
-  // is a hash lookup and a refcount bump instead. The wire
-  // format is lossless, so a cached block is bit-identical to a fresh
-  // deserialize and results cannot depend on the hit pattern.
-  auto read_shared = [&](WorkerContext& ctx, DataId d, uint64_t version,
-                         double* deser_seconds)
-      -> Result<std::shared_ptr<const data::Matrix>> {
-    if (options_.use_storage) {
-      if (ctx.cache != nullptr) {
-        if (storage::BlockCache::ValuePtr hit =
-                ctx.cache->Get(static_cast<uint64_t>(d), version)) {
-          TB_RETURN_IF_ERROR(verify_cache_hit(d, version));
-          return hit;
-        }
-        TB_ASSIGN_OR_RETURN(data::Matrix m,
-                            read_from_store(d, deser_seconds));
-        return ctx.cache->Put(static_cast<uint64_t>(d), version,
-                              std::move(m));
-      }
-      TB_ASSIGN_OR_RETURN(data::Matrix m,
-                          read_from_store(d, deser_seconds));
-      return std::make_shared<const data::Matrix>(std::move(m));
-    }
-    std::shared_ptr<data::Matrix> value = values.Get(d);
-    if (value == nullptr) {
-      return Status::NotFound(
-          StrFormat("datum %lld has no value; was it ever written?",
-                    static_cast<long long>(d)));
-    }
-    return std::shared_ptr<const data::Matrix>(std::move(value));
-  };
-
-  // Private mutable copy of `d` (for INOUT slots kernels update in
-  // place); copies happen outside any lock, and a cache hit copies
-  // the shared entry instead of mutating it (other holders of the
-  // handle would see the kernel's writes otherwise).
-  auto read_owned = [&](WorkerContext& ctx, DataId d, uint64_t version,
-                        double* deser_seconds) -> Result<data::Matrix> {
-    if (options_.use_storage) {
-      if (ctx.cache != nullptr) {
-        if (storage::BlockCache::ValuePtr hit =
-                ctx.cache->Get(static_cast<uint64_t>(d), version)) {
-          TB_RETURN_IF_ERROR(verify_cache_hit(d, version));
-          return *hit;
-        }
-      }
-      // Miss: private copy straight from the store. Not inserted —
-      // this reader is about to overwrite `d`, so the entry would be
-      // stale before anyone could hit it.
-      return read_from_store(d, deser_seconds);
-    }
-    TB_ASSIGN_OR_RETURN(const std::shared_ptr<const data::Matrix> value,
-                        read_shared(ctx, d, version, deser_seconds));
-    return *value;
-  };
-
-  auto write_datum = [&](WorkerContext& ctx, DataId d, uint64_t version,
-                         data::Matrix value, double* ser_seconds) -> Status {
-    if (options_.use_storage) {
-      const double t0 = SecondsSince(origin);
-      TB_RETURN_IF_ERROR(
-          WriteBlock(*store_, keys[static_cast<size_t>(d)], value));
-      *ser_seconds += SecondsSince(origin) - t0;
-      // Write-through at the writer's ordinal: successors reading
-      // this version hit without touching the serializer (free when
-      // they run on this worker, one miss each elsewhere). The block
-      // is moved, not copied — the caller is done with it after a
-      // successful write.
-      if (ctx.cache != nullptr) {
-        ctx.cache->Put(static_cast<uint64_t>(d), version, std::move(value));
-      }
-      return Status::OK();
-    }
-    values.Put(d, std::make_shared<data::Matrix>(std::move(value)));
-    return Status::OK();
-  };
-
-  // Executes `id` once, timing its stages into `rec` — the caller
-  // picks where the record lives: records[id] on the normal path, a
-  // stack-local for hedged attempts (only the claim winner's record
-  // is published, so a losing duplicate never touches shared state).
-  auto run_task = [&](WorkerContext& ctx, TaskId id, int attempt,
-                      TaskRecord& rec) -> Status {
-    const Task& task = graph.task(id);
-    rec.task = id;
-    rec.type = task.spec.type;
-    rec.level = task.level;
-    rec.processor = Processor::kCpu;  // the real path runs on host cores
-    rec.stages = perf::StageTimes{};  // a retry starts its stages over
-    rec.attempt = attempt;
-    rec.start = SecondsSince(origin);
-
-    if (task.spec.kernel == nullptr) {
-      return Status::FailedPrecondition(StrFormat(
-          "task %lld (%s) has no kernel; simulation-only graphs cannot "
-          "run on the thread-pool executor",
-          static_cast<long long>(id), task.spec.type.c_str()));
-    }
-
-    // Materialize inputs (IN + INOUT) and output slots (OUT + INOUT).
-    // IN values are shared with the store (zero-copy in memory mode);
-    // INOUT slots get private copies kernels may mutate. out_values
-    // is sized up front so pointers into it stay stable.
-    std::vector<std::shared_ptr<const data::Matrix>> in_values;
-    std::vector<data::Matrix> out_values;
-    std::vector<DataId> out_ids;
-    std::vector<uint64_t> out_versions;
-    std::vector<size_t> inout_out_index;  // out_values slots of INOUTs
-    in_values.reserve(task.spec.params.size());
-    out_values.resize(task.spec.params.size());
-    size_t num_outputs = 0;
-    for (size_t i = 0; i < task.spec.params.size(); ++i) {
-      const Param& p = task.spec.params[i];
-      // Writer ordinal the oracle predicts for this access: reads
-      // expect it as the block's cache version (INOUT reads expect
-      // the pre-write version); writes publish it.
-      const uint64_t ordinal =
-          use_cache ? static_cast<uint64_t>(oracle.ordinal(id, i)) : 0;
-      if (p.dir == Dir::kIn) {
-        TB_ASSIGN_OR_RETURN(
-            std::shared_ptr<const data::Matrix> m,
-            read_shared(ctx, p.data, ordinal, &rec.stages.deserialize));
-        in_values.push_back(std::move(m));
-        continue;
-      }
-      if (p.dir == Dir::kInOut) {
-        TB_ASSIGN_OR_RETURN(
-            out_values[num_outputs],
-            read_owned(ctx, p.data, ordinal - 1, &rec.stages.deserialize));
-        inout_out_index.push_back(num_outputs);
-      }
-      out_ids.push_back(p.data);
-      out_versions.push_back(ordinal);
-      ++num_outputs;
-    }
-    out_values.resize(num_outputs);
-
-    // Kernel views: IN values first, then INOUT values (which alias
-    // their output slots so kernels can update in place).
-    std::vector<const data::Matrix*> inputs;
-    std::vector<data::Matrix*> outputs;
-    for (const auto& m : in_values) inputs.push_back(m.get());
-    for (size_t idx : inout_out_index) inputs.push_back(&out_values[idx]);
-    for (data::Matrix& m : out_values) outputs.push_back(&m);
-
-    const double kernel_start = SecondsSince(origin);
-    TB_RETURN_IF_ERROR(task.spec.kernel(inputs, outputs));
-    rec.stages.parallel_fraction = SecondsSince(origin) - kernel_start;
-
-    for (size_t i = 0; i < out_ids.size(); ++i) {
-      TB_RETURN_IF_ERROR(write_datum(ctx, out_ids[i], out_versions[i],
-                                     std::move(out_values[i]),
-                                     &rec.stages.serialize));
-    }
-    rec.end = SecondsSince(origin);
-    return Status::OK();
-  };
-
   auto done = [&] {
     return pool.failed.load(std::memory_order_seq_cst) ||
-           pool.completed.load(std::memory_order_seq_cst) == total;
+           ledger.num_completed() == total;
   };
 
   // Wake companions: cheap atomic check first; the (empty) park_mu
@@ -614,7 +451,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
   // starting tasks.
   auto fail_with = [&](Status status) {
     {
-      std::lock_guard<std::mutex> lock(pool.fault_mu);
+      std::lock_guard<std::mutex> lock(pool.failure_mu);
       if (!pool.failed.load(std::memory_order_seq_cst)) {
         pool.failure = std::move(status);
         pool.failed.store(true, std::memory_order_seq_cst);
@@ -623,10 +460,6 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     wake_all();
   };
   auto cancel_run = [&] { fail_with(Status::Cancelled("run cancelled")); };
-  auto fail_run = [&](Status status, TaskId id, int attempt) {
-    fail_with(std::move(status).WithContext(StrFormat(
-        "task %lld attempt %d", static_cast<long long>(id), attempt)));
-  };
 
   // Stages the initial values inside the run: each worker claims
   // chunks of `initial` and writes them (serialized into storage, or
@@ -673,33 +506,32 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     return true;
   };
 
-  // Winner-side publication shared by the normal path and hedged
-  // duplicates: writer ordinals + completion flag (release, paired
-  // with the claim-time acquires), successor countdown, and the run
-  // completion count. Callers hold the hedge claim (or the task was
-  // never hedgeable), so this runs exactly once per task.
-  auto publish_completion = [&](WorkerContext& ctx, WorkerTelemetry* wt,
-                                TaskId id) {
-    WorkStealingQueue<TaskId>& own =
-        pool.queues[static_cast<size_t>(ctx.id)];
-    if (check) {
-      const Task& task = graph.task(id);
-      for (size_t i = 0; i < task.spec.params.size(); ++i) {
-        const Param& p = task.spec.params[i];
-        if (p.dir == Dir::kIn) continue;
-        data_version[static_cast<size_t>(p.data)].store(
-            oracle.ordinal(id, i), std::memory_order_release);
-      }
-      completed_flag[static_cast<size_t>(id)].store(
-          1, std::memory_order_release);
-    }
+  // The claim holder's publication, once its outputs are stored:
+  // telemetry, then the ledger's completion (writer ordinals before
+  // successor release — the fetch_sub(acq_rel) / Steal pair carries
+  // them to whichever worker claims a released successor).
+  auto complete = [&](WorkerContext& ctx, WorkerTelemetry* wt, TaskId id,
+                      int attempt, double start,
+                      const perf::StageTimes& stages) {
+    const Task& task = graph.task(id);
+    TaskRecord rec;
+    rec.task = id;
+    rec.type = task.spec.type;
+    rec.level = task.level;
+    rec.processor = Processor::kCpu;  // the real path runs on host cores
+    rec.stages = stages;
+    rec.start = start;
+    rec.end = SecondsSince(origin);
+    rec.attempt = attempt;
     if (wt != nullptr) {
       wt->tasks->Add(1);
-      wt->types[task_type_idx[static_cast<size_t>(id)]].Record(
-          records[static_cast<size_t>(id)]);
+      wt->stages.Record(rec);
     }
+    const bool last = ledger.Complete(std::move(rec)) == total;
+    WorkStealingQueue<TaskId>& own =
+        pool.queues[static_cast<size_t>(ctx.id)];
     int64_t released = 0;
-    for (TaskId succ : graph.task(id).successors) {
+    for (TaskId succ : task.successors) {
       if (pool.remaining_deps[static_cast<size_t>(succ)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         own.Push(succ);
@@ -710,26 +542,73 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       pool.num_ready.fetch_add(released, std::memory_order_seq_cst);
       wake(released);
     }
-    if (pool.completed.fetch_add(1, std::memory_order_seq_cst) + 1 == total) {
-      wake_all();
-    }
+    if (last) wake_all();
   };
 
-  // One speculative duplicate of `id`, run by an otherwise-idle
-  // worker. The duplicate computes into locals; if the primary
-  // finished first the exchange loses and everything is discarded. A
-  // failing duplicate is likewise discarded — the primary still owns
-  // the task and surfaces any real error itself.
-  auto run_hedged = [&](WorkerContext& ctx, WorkerTelemetry* wt, TaskId id) {
-    TaskRecord rec;
-    const Status status = run_task(ctx, id, 1, rec);
-    if (!status.ok()) return;
-    if (hedge_claim[static_cast<size_t>(id)].exchange(
-            1, std::memory_order_seq_cst) != 0) {
-      return;  // the primary won; no trace left
+  // Runs `id` on this worker until it completes, fails the run or loses
+  // its claim: the primary from attempt 1, a hedged duplicate as
+  // attempt 2. Every attempt passes the order check first. Once its
+  // kernel ran it takes the ledger's claim, and only the claim holder
+  // stores. A failed attempt is retried under the ledger's budget with
+  // exponential backoff; after a failed store the retry resumes the
+  // stores, so an INOUT update is never applied twice.
+  auto run_task = [&](WorkerContext& ctx, WorkerTelemetry* wt, TaskId id,
+                      bool duplicate) -> Status {
+    const TaskSpec& spec = graph.task(id).spec;
+    AttemptBody body(id, spec.params, spec.kernel.fn, spec.kernel.args);
+    bool claimed = false;
+    for (int attempt = duplicate ? 2 : 1;; ++attempt) {
+      const double start = SecondsSince(origin);
+      body.stages = perf::StageTimes{};
+      Status status = ledger.CheckStart(id);
+      if (!status.ok()) return ledger.Failure(id, attempt, "worker", ctx.id,
+                                              status);
+      if (!body.computed()) status = body.Compute(*plane, ctx.cache);
+      if (status.ok() && !claimed) {
+        if (!ledger.Claim(id)) {
+          // Only a hedged pair races for one claim: anything else ran
+          // a task twice.
+          if (duplicate || (hedge && hedgeable[static_cast<size_t>(id)])) {
+            return Status::OK();
+          }
+          return ledger.Failure(
+              id, attempt, "worker", ctx.id,
+              Status::FailedPrecondition(
+                  "invariant violation: the task was already claimed"));
+        }
+        claimed = true;
+      }
+      if (status.ok()) status = body.Store(*plane, ctx.cache);
+      if (status.ok()) {
+        complete(ctx, wt, id, attempt, start, body.stages);
+        return Status::OK();
+      }
+      // A failed attempt without the claim leaves the task to its
+      // twin: a duplicate always (the primary surfaces any real error
+      // itself), a primary once the duplicate has claimed it.
+      if (!claimed && (duplicate || ledger.claimed(id))) return Status::OK();
+      ledger.Log(TaskAttempt{id, attempt, -1, Processor::kCpu, start,
+                             SecondsSince(origin), AttemptOutcome::kFailed});
+      if (pool.failed.load(std::memory_order_seq_cst)) return status;
+      TB_RETURN_IF_ERROR(ledger.Retry(id, attempt, "worker", ctx.id, status));
+      // Interruptible backoff: sleep in short slices so a Cancel()
+      // lands within ~1 ms instead of after a full exponential wait.
+      const auto backoff =
+          std::chrono::duration<double>(options_.RetryDelay(attempt));
+      const Clock::time_point wake_at =
+          Clock::now() + std::chrono::duration_cast<Clock::duration>(backoff);
+      while (!cancel_requested() &&
+             !pool.failed.load(std::memory_order_seq_cst)) {
+        const Clock::time_point now = Clock::now();
+        if (now >= wake_at) break;
+        std::this_thread::sleep_for(std::min<Clock::duration>(
+            wake_at - now, std::chrono::milliseconds(1)));
+      }
+      if (cancel_requested()) {
+        return Status::Cancelled("run cancelled during retry backoff");
+      }
+      if (pool.failed.load(std::memory_order_seq_cst)) return status;
     }
-    records[static_cast<size_t>(id)] = std::move(rec);
-    publish_completion(ctx, wt, id);
   };
 
   auto worker = [&](int worker_id) {
@@ -794,8 +673,7 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
           if (rt < 0 || hedgeable[static_cast<size_t>(rt)] == 0) continue;
           if (hedge_tried[static_cast<size_t>(rt)].load(
                   std::memory_order_relaxed) != 0 ||
-              hedge_claim[static_cast<size_t>(rt)].load(
-                  std::memory_order_relaxed) != 0) {
+              ledger.claimed(rt)) {
             continue;
           }
           const int64_t since =
@@ -810,7 +688,11 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
         if (target >= 0 &&
             hedge_tried[static_cast<size_t>(target)].exchange(
                 1, std::memory_order_seq_cst) == 0) {
-          run_hedged(ctx, wt, target);
+          Status status = run_task(ctx, wt, target, /*duplicate=*/true);
+          if (!status.ok()) {
+            fail_with(std::move(status));
+            return;
+          }
           continue;
         }
       }
@@ -827,133 +709,21 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
       if (wt != nullptr && stolen) wt->steals->Add(1);
       pool.num_ready.fetch_sub(1, std::memory_order_seq_cst);
 
-      // Invariants at claim time: every dependency completed, and
-      // every input sits at exactly the version this task's writer
-      // ordinal predicts. Checked once per task (first attempt); a
-      // retried attempt may legitimately re-read its own partial
-      // INOUT writes.
-      if (check) {
-        const Task& task = graph.task(id);
-        for (TaskId dep : task.deps) {
-          if (completed_flag[static_cast<size_t>(dep)].load(
-                  std::memory_order_acquire) == 0) {
-            fail_run(Status::FailedPrecondition(StrFormat(
-                         "invariant violation: task claimed before "
-                         "dependency %lld completed",
-                         static_cast<long long>(dep))),
-                     id, 1);
-            return;
-          }
-        }
-        for (size_t i = 0; i < task.spec.params.size(); ++i) {
-          const Param& p = task.spec.params[i];
-          if (p.dir == Dir::kOut) continue;
-          const int expected =
-              oracle.ordinal(id, i) - (p.dir == Dir::kInOut ? 1 : 0);
-          const int actual =
-              data_version[static_cast<size_t>(p.data)].load(
-                  std::memory_order_acquire);
-          if (actual != expected) {
-            fail_run(Status::FailedPrecondition(StrFormat(
-                         "invariant violation: datum %lld read at "
-                         "version %d, expected %d (stale or "
-                         "unpublished block)",
-                         static_cast<long long>(p.data), actual,
-                         expected)),
-                     id, 1);
-            return;
-          }
-        }
-      }
-
-      // Hedgeable tasks compute into a stack-local record; only the
-      // hedge-claim winner moves it into the shared slot. Everything
-      // else writes records[id] directly, exactly as before.
-      const bool deferred =
-          hedge && hedgeable[static_cast<size_t>(id)] != 0;
-      TaskRecord local_rec;
-      TaskRecord& rec_slot =
-          deferred ? local_rec : records[static_cast<size_t>(id)];
       if (hedge) {
         running_since_ns[static_cast<size_t>(worker_id)].store(
             NanosSince(origin), std::memory_order_release);
         running_task[static_cast<size_t>(worker_id)].store(
             id, std::memory_order_release);
       }
-
-      // Per-task retry loop: transient failures (e.g. a
-      // fault-injecting storage backend) are retried with exponential
-      // backoff until the budget is spent. With the default budget of
-      // 0 this is one run_task call, exactly the fail-fast path.
-      Status status;
-      int attempt = 1;
-      for (;;) {
-        status = run_task(ctx, id, attempt, rec_slot);
-        if (status.ok() || attempt > options_.max_retries) break;
-        {
-          std::lock_guard<std::mutex> lock(pool.fault_mu);
-          if (pool.failed.load(std::memory_order_seq_cst)) break;
-          ++pool.retries;
-          if (options_.max_retries > 0) {
-            const TaskRecord& rec = rec_slot;
-            pool.attempts.push_back(TaskAttempt{
-                id, attempt, rec.node, rec.processor, rec.start,
-                SecondsSince(origin), AttemptOutcome::kFailed});
-          }
-        }
-        // Interruptible backoff: sleep in short slices so a Cancel()
-        // lands within ~1 ms instead of after a full exponential wait.
-        const auto backoff =
-            std::chrono::duration<double>(options_.RetryDelay(attempt));
-        const Clock::time_point wake_at =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(backoff);
-        while (!cancel_requested() &&
-               !pool.failed.load(std::memory_order_seq_cst)) {
-          const Clock::time_point now = Clock::now();
-          if (now >= wake_at) break;
-          std::this_thread::sleep_for(std::min<Clock::duration>(
-              wake_at - now, std::chrono::milliseconds(1)));
-        }
-        if (cancel_requested()) {
-          status = Status::Cancelled("run cancelled during retry backoff");
-          break;
-        }
-        ++attempt;
-      }
-
+      Status status = run_task(ctx, wt, id, /*duplicate=*/false);
       if (hedge) {
         running_task[static_cast<size_t>(worker_id)].store(
             -1, std::memory_order_release);
       }
       if (!status.ok()) {
-        fail_run(std::move(status), id, attempt);
+        fail_with(std::move(status));
         return;
       }
-
-      if (deferred) {
-        if (hedge_claim[static_cast<size_t>(id)].exchange(
-                1, std::memory_order_seq_cst) != 0) {
-          // A speculative duplicate finished first and published
-          // everything; this attempt's locals just evaporate.
-          continue;
-        }
-        records[static_cast<size_t>(id)] = std::move(local_rec);
-      }
-
-      if (options_.max_retries > 0) {
-        const TaskRecord& rec = records[static_cast<size_t>(id)];
-        std::lock_guard<std::mutex> lock(pool.fault_mu);
-        pool.attempts.push_back(TaskAttempt{
-            id, attempt, rec.node, rec.processor, rec.start, rec.end,
-            AttemptOutcome::kCompleted});
-      }
-
-      // Publication (writer ordinals before successor release — the
-      // fetch_sub(acq_rel) / Steal pair carries the stores to
-      // whichever worker claims a released successor), telemetry and
-      // the completion count, shared with the hedged path.
-      publish_completion(ctx, wt, id);
     }
   };
 
@@ -970,27 +740,22 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
 
   if (pool.failed.load(std::memory_order_seq_cst)) return pool.failure;
 
-  if (check) TB_RETURN_IF_ERROR(CheckBusyTimeBound(records, num_workers));
+  RunReport report = ledger.TakeReport();
+  if (options_.check_invariants) {
+    TB_RETURN_IF_ERROR(CheckBusyTimeBound(report.records, num_workers));
+  }
 
   if (telemetry) {
     obs::MetricsRegistry& merged = *metrics_sink;
     for (const auto& wt : worker_telemetry) merged.MergeFrom(wt->registry);
     merged.gauge("pool.workers")->Set(num_workers);
-    if (pool.retries > 0) merged.counter("pool.retries")->Add(pool.retries);
+    if (report.faults.retries > 0) {
+      merged.counter("pool.retries")->Add(report.faults.retries);
+    }
     if (use_cache) {
-      obs::Counter* hits = merged.counter("cache.hits");
-      obs::Counter* misses = merged.counter("cache.misses");
-      obs::Counter* evictions = merged.counter("cache.evictions");
-      obs::Counter* invalidations = merged.counter("cache.invalidations");
-      obs::Gauge* peak = merged.gauge("cache.peak_bytes");
-      for (const auto& cache : worker_caches) {
-        const storage::BlockCache::Stats& s = cache->stats();
-        hits->Add(s.hits);
-        misses->Add(s.misses);
-        evictions->Add(s.evictions);
-        invalidations->Add(s.invalidations);
-        peak->SetMax(static_cast<double>(s.peak_bytes));
-      }
+      std::vector<storage::BlockCache::Stats> stats;
+      for (const auto& cache : worker_caches) stats.push_back(cache->stats());
+      ExportCacheStats(stats, &merged);
     }
   }
 
@@ -1003,13 +768,6 @@ Result<RunReport> ThreadPoolExecutor::Execute(TaskGraph& graph,
     }
   }
 
-  RunReport report;
-  report.records = std::move(records);
-  for (const TaskRecord& rec : report.records) {
-    report.makespan = std::max(report.makespan, rec.end);
-  }
-  report.faults.retries = pool.retries;
-  report.attempts = std::move(pool.attempts);
   return report;
 }
 

@@ -41,8 +41,10 @@ std::string StorageKey(uint64_t scope, DataId id);
 /// Fault tolerance: a failed task attempt (kernel error, storage
 /// read or write failure — e.g. from a fault-injecting BlockStorage) is
 /// retried up to `options.max_retries` times with exponential
-/// wall-clock backoff before the run fails. The default budget of 0
-/// preserves the historic fail-fast behaviour.
+/// wall-clock backoff before the run fails; a retry after a failed
+/// store resumes the stores. The default budget of 0 preserves the
+/// historic fail-fast behaviour. The attempt lifecycle is the shared
+/// runtime::AttemptLedger's.
 ///
 /// Concurrent Execute calls on one instance are safe: all run state
 /// is call-local except the block store, whose keys are namespaced by

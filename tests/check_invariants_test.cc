@@ -12,7 +12,8 @@
 #include "check/invariants.h"
 #include "check/workload.h"
 #include "hw/cluster.h"
-#include "runtime/invariant_check.h"
+#include "runtime/fault.h"
+#include "runtime/attempt_ledger.h"
 #include "runtime/run_options.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/thread_pool_executor.h"
@@ -169,6 +170,60 @@ TEST(VerifyReportTest, RejectsNonMonotonicAttemptNumbers) {
                                  runtime::AttemptOutcome::kCompleted});
   EXPECT_FALSE(
       VerifyReport(run.built.graph, run.report, context).ok());
+}
+
+// Every relaunch is one retry, hedge or recompute: a faulted run whose
+// counters and log agree passes, and a retry counted once too often or
+// too rarely fails.
+TEST(VerifyReportTest, RejectsAMiscountedRetry) {
+  auto built = BuildWorkload(Spec());
+  ASSERT_TRUE(built.ok());
+  const hw::ClusterSpec cluster = hw::MinotauroCluster();
+  runtime::RunOptions options;
+  options.storage = hw::StorageArchitecture::kLocalDisk;
+  options.faults = *runtime::FaultPlan::Parse("storage:p0.3:s3");
+  options.max_retries = 20;
+  options.retry_backoff_s = 1e-3;
+  runtime::SimulatedExecutor executor(cluster, options);
+  auto report = executor.Execute(built->graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->faults.retries, 0);
+  InvariantContext context;
+  context.cluster = &cluster;
+  context.simulated = true;
+  context.faulted = true;
+  const Status genuine = VerifyReport(built->graph, *report, context);
+  EXPECT_TRUE(genuine.ok()) << genuine.ToString();
+  for (const int delta : {-1, 1}) {
+    RunReport miscounted = *report;
+    miscounted.faults.retries += delta;
+    EXPECT_FALSE(VerifyReport(built->graph, miscounted, context).ok())
+        << "retries off by " << delta;
+  }
+}
+
+// A hedge twin that dies while its primary goes on to complete is
+// accounted as the hedge it was, not as a retry, and is logged after
+// its lower-numbered primary.
+TEST(VerifyReportTest, AcceptsAHedgeTwinThatDiedBeforeItsPrimaryCompleted) {
+  SimRun run = RunSim();
+  InvariantContext context = SimContext(run);
+  context.faulted = true;
+  run.report.faults.hedges = 1;
+  for (const runtime::TaskRecord& rec : run.report.records) {
+    run.report.attempts.push_back({rec.task, 1, rec.node, rec.processor,
+                                   rec.start, rec.end,
+                                   runtime::AttemptOutcome::kCompleted});
+    if (rec.task == 0) {
+      run.report.attempts.push_back({0, 2, 1, rec.processor, rec.start,
+                                     rec.start,
+                                     runtime::AttemptOutcome::kNodeLost});
+    }
+  }
+  const Status hedged = VerifyReport(run.built.graph, run.report, context);
+  EXPECT_TRUE(hedged.ok()) << hedged.ToString();
+  run.report.faults.retries = 1;  // the death was no retry
+  EXPECT_FALSE(VerifyReport(run.built.graph, run.report, context).ok());
 }
 
 TEST(VerifyReportTest, OnlineSimCheckerPassesCleanRuns) {

@@ -111,7 +111,9 @@ TEST(FailureInjectionTest, PutBudgetBelowTheInitialPutsFailsStaging) {
 
 // With a budget of exactly the initial puts, every staging write
 // lands and the first task write fails: that is a task failure, which
-// the retry loop recovers. Were a task claimed before staging finished,
+// the retry loop recovers by storing the output the failed attempt
+// still holds, so every kernel runs once. Were a task claimed before
+// staging finished,
 // its write could draw on the budget ahead of the last staging writes
 // (the worker staging the 8 MiB block 0 draws for the other nine
 // blocks of its chunk only after serializing it), and the fault would
@@ -136,7 +138,7 @@ TEST(FailureInjectionTest, PutBudgetOfExactlyTheInitialPutsFailsATaskWrite) {
     if (attempt.outcome == AttemptOutcome::kFailed) ++failed_attempts;
   }
   EXPECT_EQ(failed_attempts, 1);
-  EXPECT_EQ(copy_calls.load(), 321);
+  EXPECT_EQ(copy_calls.load(), 320);
   for (size_t i = 0; i < outputs.size(); ++i) {
     auto value = executor.FetchData(graph, outputs[i]);
     ASSERT_TRUE(value.ok()) << value.status().ToString();
@@ -336,6 +338,39 @@ TEST(FailureInjectionTest, BlockCacheStaysExactUnderInOutRetry) {
   auto want = clean_executor.FetchData(clean_graph, clean_acc);
   ASSERT_TRUE(want.ok());
   EXPECT_TRUE(*got == *want);
+}
+
+// One task {acc INOUT, y OUT} whose kernel does acc += 1; y = acc.
+// The store of y fails once, after the attempt already stored acc: the
+// retry must store y from the outputs it holds, not rerun the kernel
+// over the acc its failed attempt left behind (which read 12).
+TEST(FailureInjectionTest, RetryAfterAFailedStoreAppliesAnInOutOnce) {
+  auto faulty = std::make_shared<FaultyStorage>(
+      std::make_shared<storage::InMemoryStorage>());
+  faulty->ops_until_put_failure = 2;  // staging acc, then the task's acc
+  faulty->put_failures_remaining = 1;
+  TaskGraph graph;
+  const DataId acc = graph.AddData(data::Matrix(1, 1, 10.0));
+  const DataId y = graph.AddData(static_cast<uint64_t>(8));
+  TaskSpec spec;
+  spec.type = "increment";
+  spec.params = {{acc, Dir::kInOut}, {y, Dir::kOut}};
+  spec.kernel = [](const KernelInputs&, const KernelOutputs& outputs) {
+    outputs[0]->data()[0] += 1;  // acc, aliased by the INOUT input
+    *outputs[1] = *outputs[0];
+    return Status::OK();
+  };
+  ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
+  RunOptions options = StorageOptions();
+  options.num_threads = 1;
+  options.max_retries = 2;
+  options.retry_backoff_s = 1e-4;
+  ThreadPoolExecutor executor(options, faulty);
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->faults.retries, 1);
+  EXPECT_EQ(executor.FetchData(graph, acc)->At(0, 0), 11.0);
+  EXPECT_EQ(executor.FetchData(graph, y)->At(0, 0), 11.0);
 }
 
 TEST(FailureInjectionTest, RecoveryAfterTransientFault) {

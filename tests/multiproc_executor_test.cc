@@ -256,7 +256,38 @@ TEST(MultiProcExecutorTest, ArenaExhaustionMidRunFailsTheRun) {
   MultiProcExecutor executor(options);
   auto report = executor.Execute(graph);
   ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+      << report.status().ToString();
   EXPECT_NE(report.status().ToString().find("arena"), std::string::npos);
+}
+
+// A worker's failure keeps its status code: the same failing kernel
+// fails both real executors with the same code and context.
+TEST(MultiProcExecutorTest, AWorkerFailureKeepsItsStatusCode) {
+  TaskGraph graph;
+  const DataId in = graph.AddData(data::Matrix(2, 2, 0.0));
+  const DataId out = graph.AddData(static_cast<uint64_t>(32));
+  TaskSpec spec = SimpleTask(
+      in, out, [](const KernelInputs&, const KernelOutputs&) -> Status {
+        return Status::InvalidArgument("kernel rejects its input");
+      });
+  spec.type = "reject";
+  ASSERT_TRUE(graph.Submit(std::move(spec)).ok());
+
+  RunOptions options = ProcOptions(1);
+  options.num_threads = 1;
+  ThreadPoolExecutor threads(options);
+  MultiProcExecutor procs(options);
+  for (Executor* executor : {static_cast<Executor*>(&threads),
+                             static_cast<Executor*>(&procs)}) {
+    SCOPED_TRACE(executor->name());
+    auto report = executor->Run(graph);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(report.status().message(),
+              "task 0 (reject) attempt 1 on worker 0: kernel rejects its "
+              "input; no retries left (max_retries=0)");
+  }
 }
 
 // A worker killed mid-task (the kernel _exits the whole process, as a

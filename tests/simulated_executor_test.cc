@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "common/units.h"
 #include "hw/cluster.h"
+#include "runtime/fault.h"
 
 namespace taskbench::runtime {
 namespace {
@@ -244,6 +246,59 @@ TEST(SimulatedExecutorTest, LevelStatsMatchDagLevels) {
   EXPECT_EQ(levels[0].num_tasks, 1);
   EXPECT_EQ(levels[1].num_tasks, 1);
   EXPECT_GT(report->MeanLevelTime(), 0.5);
+}
+
+// A crash that reopens the producer of a running task ends that
+// attempt, so its retry waits for the recompute. Task 2 runs on node
+// 1's GPU off task 1's output, which lives on node 0. Node 0 crashes,
+// reopening task 1, and node 1's GPU is lost before the recompute
+// finishes. Left running through the crash, task 2 would be retried
+// after the GPU loss with a dependency countdown the recompute then
+// drives below zero, and the run would stall.
+TEST(SimulatedExecutorTest, ACrashEndsAttemptsWhoseInputItReopened) {
+  hw::ClusterSpec cluster = hw::MinotauroCluster();
+  cluster.num_nodes = 3;
+  cluster.cores_per_node = 1;
+  cluster.gpus_per_node = 1;
+  TaskGraph graph;
+  // Task 0 holds node 0's GPU, so task 2 takes node 1's.
+  const DataId g_in = graph.AddData(8);
+  const DataId g_out = graph.AddData(8);
+  ASSERT_TRUE(graph
+                  .Submit(TimedTask(&graph, g_in, g_out, 2000,
+                                    Processor::kGpu))
+                  .ok());
+  const DataId d0 = graph.AddData(8);
+  const DataId d1 = graph.AddData(8);
+  const DataId d2 = graph.AddData(8);
+  ASSERT_TRUE(graph.Submit(TimedTask(&graph, d0, d1, 2.0)).ok());
+  ASSERT_TRUE(
+      graph.Submit(TimedTask(&graph, d1, d2, 2000, Processor::kGpu)).ok());
+
+  RunOptions options = DefaultOptions();
+  options.storage = hw::StorageArchitecture::kLocalDisk;
+  options.faults = *FaultPlan::Parse("crash@5:n0,gpuloss@6:n1");
+  options.max_retries = 3;
+  options.retry_backoff_s = 10;
+  SimulatedExecutor executor(cluster, options);
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->faults.recomputed_tasks, 1);
+  std::vector<TaskAttempt> task2;
+  for (const TaskAttempt& a : report->attempts) {
+    if (a.task == 2) task2.push_back(a);
+  }
+  ASSERT_EQ(task2.size(), 2u);
+  EXPECT_EQ(task2[0].outcome, AttemptOutcome::kNodeLost);
+  EXPECT_EQ(task2[0].node, 1);
+  EXPECT_EQ(task2[0].end, 5.0);
+  EXPECT_EQ(task2[1].outcome, AttemptOutcome::kCompleted);
+  check::InvariantContext context;
+  context.cluster = &cluster;
+  context.simulated = true;
+  context.faulted = true;
+  const Status verified = check::VerifyReport(graph, *report, context);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 
 }  // namespace

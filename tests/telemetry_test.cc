@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "hw/cluster.h"
 #include "obs/metrics.h"
 #include "runtime/metrics_export.h"
+#include "runtime/multiproc_executor.h"
 #include "runtime/run_options.h"
 #include "runtime/simulated_executor.h"
 #include "runtime/task_graph.h"
@@ -198,6 +200,76 @@ TEST(TelemetryTest, ThreadPoolRunPopulatesRegistry) {
   EXPECT_GT(registry.histogram("task.copy.duration_s")->sum(), 0.0);
   // The thread-pool path leaves the simulated-master breakdown empty.
   EXPECT_FALSE(report->sched_phases.any());
+}
+
+// The task.<type>.* histograms of `registry` and their sample counts.
+std::map<std::string, double> TaskHistogramCounts(
+    const obs::MetricsRegistry& registry) {
+  std::ostringstream out;
+  registry.WriteJson(out);
+  auto doc = ParseJson(out.str());
+  TB_CHECK_OK(doc.status());
+  std::map<std::string, double> counts;
+  for (const auto& [name, hist] : doc->Find("histograms")->members) {
+    if (name.rfind("task.", 0) == 0) {
+      counts[name] = hist.Find("count")->number_value;
+    }
+  }
+  return counts;
+}
+
+// One graph run on all three executors records the same stage
+// histograms: four per task type, one sample per task.
+TEST(TelemetryTest, AllThreeExecutorsRecordTheSameStageHistograms) {
+  TaskGraph graph;
+  std::vector<DataId> front;
+  for (int lane = 0; lane < 3; ++lane) {
+    front.push_back(graph.AddData(data::Matrix(2, 2, 1.0)));
+  }
+  for (int level = 0; level < 2; ++level) {
+    for (DataId& in : front) {
+      const DataId out = graph.AddData(static_cast<uint64_t>(32));
+      TaskSpec spec;
+      spec.type = "copy";
+      spec.params = {{in, Dir::kIn}, {out, Dir::kOut}};
+      spec.cost.parallel.flops = 1e9;
+      spec.cost.input_bytes = 32;
+      spec.cost.output_bytes = 32;
+      spec.kernel = [](const KernelInputs& inputs,
+                       const KernelOutputs& outputs) {
+        *outputs[0] = *inputs[0];
+        return Status::OK();
+      };
+      TB_CHECK_OK(graph.Submit(spec).status());
+      in = out;
+    }
+  }
+  const std::map<std::string, double> want = {
+      {"task.copy.compute_s", 6},
+      {"task.copy.deserialize_s", 6},
+      {"task.copy.duration_s", 6},
+      {"task.copy.serialize_s", 6}};
+
+  RunOptions options;
+  options.num_threads = 2;
+  options.num_procs = 2;
+  obs::MetricsRegistry sim_registry;
+  options.metrics = &sim_registry;
+  RunSim(graph, options);
+  EXPECT_EQ(TaskHistogramCounts(sim_registry), want) << "simulated";
+
+  obs::MetricsRegistry threads_registry;
+  options.metrics = &threads_registry;
+  ThreadPoolExecutor threads(options);
+  ASSERT_TRUE(threads.Execute(graph).ok());
+  EXPECT_EQ(TaskHistogramCounts(threads_registry), want) << "threads";
+
+  if (!MultiProcExecutor::Supported()) return;
+  obs::MetricsRegistry procs_registry;
+  options.metrics = &procs_registry;
+  MultiProcExecutor procs(options);
+  ASSERT_TRUE(procs.Execute(graph).ok());
+  EXPECT_EQ(TaskHistogramCounts(procs_registry), want) << "procs";
 }
 
 TEST(TelemetryTest, MetricsJsonIsValid) {

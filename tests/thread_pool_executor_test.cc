@@ -344,6 +344,65 @@ TEST_P(ThreadPoolExecutorModes, FourWorkersStageManyInitialBlocks) {
 
 // Storage keys are part of the on-disk format (FileStorage paths) and
 // of the service's scope cleanup: their bytes must not change.
+// Call number of HedgedCallNumber across a task's primary and its
+// hedged duplicate.
+std::atomic<int> hedge_calls{0};
+
+// Writes its call number. The first call (the primary) returns only
+// once the second (the duplicate) has started, so it takes the claim;
+// the second returns 30 ms later.
+Status HedgedCallNumber(const KernelInputs&, const KernelOutputs& outputs) {
+  const int call = hedge_calls.fetch_add(1) + 1;
+  if (call == 1) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (hedge_calls.load() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  } else {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  *outputs[0] = data::Matrix(1, 1, static_cast<double>(call));
+  return Status::OK();
+}
+
+// Only the attempt that holds the claim stores: a hedged duplicate that
+// loses it leaves the winner's output in place.
+TEST_P(ThreadPoolExecutorModes, ALosingHedgedDuplicateStoresNothing) {
+  TaskGraph graph;
+  const DataId x = graph.AddData(data::Matrix(1, 1, 0.0));
+  const DataId y = graph.AddData(static_cast<uint64_t>(8));
+  ASSERT_TRUE(graph.Submit(SimpleTask(x, y, HedgedCallNumber)).ok());
+  // The second worker's own root: it runs while the primary starts on
+  // the first worker, then leaves the second idle to duplicate it.
+  const DataId x2 = graph.AddData(data::Matrix(1, 1, 0.0));
+  const DataId y2 = graph.AddData(static_cast<uint64_t>(8));
+  ASSERT_TRUE(graph
+                  .Submit(SimpleTask(
+                      x2, y2,
+                      [](const KernelInputs& inputs,
+                         const KernelOutputs& outputs) -> Status {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        *outputs[0] = *inputs[0];
+                        return Status::OK();
+                      }))
+                  .ok());
+  RunOptions options;
+  options.num_threads = 2;
+  options.use_storage = GetParam();
+  options.policy = SchedulingPolicy::kCostModel;
+  options.sched.hedge_min_s = 0;
+  ThreadPoolExecutor executor(options);
+  hedge_calls = 0;
+  auto report = executor.Execute(graph);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(hedge_calls.load(), 2) << "the primary was never duplicated";
+  EXPECT_EQ(report->records[0].attempt, 1) << "the duplicate won the claim";
+  EXPECT_EQ(executor.FetchData(graph, y)->At(0, 0), 1.0);
+}
+
 TEST(ThreadPoolExecutorTest, StorageKeysKeepTheirBytes) {
   EXPECT_EQ(StorageKey(0, 7), "d7");
   EXPECT_EQ(StorageKey(3, 7), "s3.d7");
