@@ -14,11 +14,18 @@ std::string StrFormat(const char* fmt, ...) {
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  // One formatting pass for the common short result; a longer one is
+  // formatted again into a string of the size the first pass reported.
+  char buffer[256];
+  const int needed = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
   if (needed < 0) {
     va_end(args_copy);
     return {};
+  }
+  if (static_cast<size_t>(needed) < sizeof(buffer)) {
+    va_end(args_copy);
+    return std::string(buffer, static_cast<size_t>(needed));
   }
   std::string out(static_cast<size_t>(needed), '\0');
   std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);

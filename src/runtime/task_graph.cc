@@ -1,7 +1,6 @@
 #include "runtime/task_graph.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -10,15 +9,14 @@
 namespace taskbench::runtime {
 
 DataId TaskGraph::AddData(uint64_t bytes, std::string name, int home_node) {
-  DataEntry entry;
-  entry.id = static_cast<DataId>(data_.size());
+  DataEntry& entry = data_.emplace_back();
+  entry.id = static_cast<DataId>(data_.size() - 1);
   entry.name = name.empty() ? StrFormat("d%lld", static_cast<long long>(entry.id))
                             : std::move(name);
   entry.bytes = bytes;
   entry.home_node = home_node;
-  data_.push_back(std::move(entry));
   history_.emplace_back();
-  return data_.back().id;
+  return entry.id;
 }
 
 DataId TaskGraph::AddData(data::Matrix value, std::string name,
@@ -42,33 +40,37 @@ Result<TaskId> TaskGraph::Submit(TaskSpec spec) {
     }
   }
 
-  Task task;
-  task.id = static_cast<TaskId>(tasks_.size());
+  Task& task = tasks_.emplace_back();
+  task.id = static_cast<TaskId>(tasks_.size() - 1);
   task.spec = std::move(spec);
 
-  // Derive dependencies from each datum's access history.
-  std::set<TaskId> deps;
+  // Derive dependencies from each datum's access history, in
+  // ascending order without duplicates. The task itself is in no
+  // history yet, so it cannot depend on itself.
+  std::vector<TaskId>& deps = task.deps;
   for (const Param& param : task.spec.params) {
-    AccessHistory& h = history_[static_cast<size_t>(param.data)];
-    if (param.dir == Dir::kIn || param.dir == Dir::kInOut) {
-      // True dependency: read-after-write.
-      if (h.last_writer >= 0) deps.insert(h.last_writer);
-    }
+    const AccessHistory& h = history_[static_cast<size_t>(param.data)];
+    // True (read-after-write) and output (write-after-write)
+    // dependencies: every direction depends on the last writer.
+    if (h.last_writer >= 0) deps.push_back(h.last_writer);
     if (param.dir == Dir::kOut || param.dir == Dir::kInOut) {
-      // Output dependency: write-after-write.
-      if (h.last_writer >= 0) deps.insert(h.last_writer);
       // Anti dependency: write-after-read.
-      for (TaskId reader : h.readers_since_write) deps.insert(reader);
+      deps.insert(deps.end(), h.readers_since_write.begin(),
+                  h.readers_since_write.end());
     }
   }
-  deps.erase(task.id);
+  std::sort(deps.begin(), deps.end());
+  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
 
-  task.deps.assign(deps.begin(), deps.end());
   int level = 0;
   for (TaskId dep : task.deps) {
     level = std::max(level, tasks_[static_cast<size_t>(dep)].level + 1);
   }
   task.level = level;
+  if (static_cast<size_t>(level) == level_widths_.size()) {
+    level_widths_.push_back(0);
+  }
+  ++level_widths_[static_cast<size_t>(level)];
 
   // Update access histories after dependency extraction so a task
   // reading and writing the same datum does not depend on itself.
@@ -86,8 +88,7 @@ Result<TaskId> TaskGraph::Submit(TaskSpec spec) {
   for (TaskId dep : task.deps) {
     tasks_[static_cast<size_t>(dep)].successors.push_back(task.id);
   }
-  tasks_.push_back(std::move(task));
-  return tasks_.back().id;
+  return task.id;
 }
 
 std::vector<std::vector<TaskId>> TaskGraph::LevelSets() const {
@@ -103,14 +104,8 @@ std::vector<std::vector<TaskId>> TaskGraph::LevelSets() const {
 
 int64_t TaskGraph::MaxWidth() const {
   int64_t width = 0;
-  for (const auto& level : LevelSets()) {
-    width = std::max(width, static_cast<int64_t>(level.size()));
-  }
+  for (int64_t tasks : level_widths_) width = std::max(width, tasks);
   return width;
-}
-
-int64_t TaskGraph::MaxHeight() const {
-  return static_cast<int64_t>(LevelSets().size());
 }
 
 std::string TaskGraph::ToDot() const {

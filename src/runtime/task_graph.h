@@ -221,7 +221,9 @@ class TaskGraph {
   int64_t MaxWidth() const;
 
   /// Number of levels — the DAG height feature.
-  int64_t MaxHeight() const;
+  int64_t MaxHeight() const {
+    return static_cast<int64_t>(level_widths_.size());
+  }
 
   /// Graphviz DOT rendering (Figure 6 style: one node per task,
   /// labeled with type; edges are dependencies).
@@ -241,6 +243,7 @@ class TaskGraph {
   std::vector<Task> tasks_;
   std::vector<DataEntry> data_;
   std::vector<AccessHistory> history_;
+  std::vector<int64_t> level_widths_;  ///< tasks per level, by level
 };
 
 }  // namespace taskbench::runtime

@@ -1,7 +1,7 @@
 #include "sim/bandwidth_resource.h"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <utility>
 
 #include "common/logging.h"
@@ -67,10 +67,16 @@ void BandwidthResource::Admit(uint64_t bytes, Callback on_done) {
   }
   // Bring existing flows up to date before the rate changes.
   Reschedule();
-  remaining_.push_back(static_cast<double>(bytes));
-  on_done_.push_back(std::move(on_done));
+  // No time has passed since the sweep above, so a second sweep could
+  // not change a remainder: insert in order and move the wake.
+  const double size = static_cast<double>(bytes);
+  const auto at = std::upper_bound(remaining_.begin(), remaining_.end(),
+                                   size, std::greater<>());
+  flows_.insert(flows_.begin() + (at - remaining_.begin()),
+                Flow{next_admission_++, callbacks_.Put(std::move(on_done))});
+  remaining_.insert(at, size);
   peak_flows_ = std::max(peak_flows_, active_flows());
-  Reschedule();
+  ScheduleWake();
 }
 
 double BandwidthResource::CurrentRatePerFlow() const {
@@ -80,23 +86,21 @@ double BandwidthResource::CurrentRatePerFlow() const {
   return std::min(fair_share, options_.per_flow_cap_bps);
 }
 
-double BandwidthResource::Sweep(double progressed, double threshold) {
-  double min_remaining = std::numeric_limits<double>::infinity();
-  size_t kept = 0;
-  for (size_t i = 0; i < remaining_.size(); ++i) {
-    const double r = std::max(0.0, remaining_[i] - progressed);
-    if (r <= threshold) {
-      simulator_->After(0, std::move(on_done_[i]));
-      continue;
-    }
-    remaining_[kept] = r;
-    if (kept != i) on_done_[kept] = std::move(on_done_[i]);
-    ++kept;
-    min_remaining = std::min(min_remaining, r);
+void BandwidthResource::FireFinished(double threshold) {
+  size_t live = remaining_.size();
+  while (live > 0 && remaining_[live - 1] <= threshold) --live;
+  if (live == remaining_.size()) return;
+  // The finished run is in remaining-byte order, ties in no
+  // particular order; it fires in admission order.
+  const auto finished = flows_.begin() + static_cast<std::ptrdiff_t>(live);
+  std::sort(finished, flows_.end(), [](const Flow& a, const Flow& b) {
+    return a.admitted < b.admitted;
+  });
+  for (auto it = finished; it != flows_.end(); ++it) {
+    simulator_->After(0, callbacks_.Take(it->slot));
   }
-  remaining_.resize(kept);
-  on_done_.resize(kept);
-  return min_remaining;
+  remaining_.resize(live);
+  flows_.resize(live);
 }
 
 void BandwidthResource::Reschedule() {
@@ -105,28 +109,35 @@ void BandwidthResource::Reschedule() {
   last_update_ = now;
   // Every flow moves at the same rate, so each advances by the same
   // byte count. A live flow holds more than kByteEpsilon, so a zero
-  // advance leaves it bit for bit as it was.
-  const double progressed = elapsed > 0 ? elapsed * CurrentRatePerFlow() : 0.0;
-  const double min_remaining = Sweep(progressed, kByteEpsilon);
+  // advance would leave it bit for bit as it is. Subtraction and the
+  // clamp are monotone, so the table stays sorted.
+  if (elapsed > 0) {
+    const double progressed = elapsed * CurrentRatePerFlow();
+    for (double& r : remaining_) r = std::max(0.0, r - progressed);
+    FireFinished(kByteEpsilon);
+  }
+  ScheduleWake();
+}
 
+void BandwidthResource::ScheduleWake() {
   ++generation_;
-  if (remaining_.empty()) return;
-
-  const double next_completion =
-      min_remaining / CurrentRatePerFlow() + kTimeEpsilon;
-  // Guard against double-precision starvation: at large simulation
-  // times the remaining sliver may be smaller than one ULP of Now(),
-  // in which case the wake event could never advance the clock.
-  // The sliver is far below any observable duration — finish it now.
-  if (now + next_completion <= now) {
-    Sweep(0.0, min_remaining + kByteEpsilon);
-    ++generation_;
-    if (remaining_.empty()) return;
-    Reschedule();
+  const SimTime now = simulator_->Now();
+  while (!remaining_.empty()) {
+    const double min_remaining = remaining_.back();
+    const double next_completion =
+        min_remaining / CurrentRatePerFlow() + kTimeEpsilon;
+    // Guard against double-precision starvation: at large simulation
+    // times the remaining sliver may be smaller than one ULP of Now(),
+    // in which case the wake event could never advance the clock.
+    // The sliver is far below any observable duration — finish it now.
+    if (now + next_completion <= now) {
+      FireFinished(min_remaining + kByteEpsilon);
+      continue;
+    }
+    const uint64_t gen = generation_;
+    simulator_->After(next_completion, [this, gen] { OnWake(gen); });
     return;
   }
-  const uint64_t gen = generation_;
-  simulator_->After(next_completion, [this, gen] { OnWake(gen); });
 }
 
 void BandwidthResource::OnWake(uint64_t generation) {

@@ -35,10 +35,12 @@ struct BandwidthResourceOptions {
 /// instance), local disks (one instance per node) and as a building
 /// block for network links.
 ///
-/// Transfers still in their per-op latency wait in a FIFO; active
-/// flows sit in contiguous arrays in admission order, and finished
-/// flows fire in that order. docs/SCHED_FAST_PATH.md §4 states the
-/// ordering rules.
+/// Transfers still in their per-op latency wait in a FIFO. Active
+/// flows sit in a table sorted by remaining bytes, largest first, with
+/// their callbacks in stable slots: a reschedule is one branch-free
+/// pass over a contiguous array of remainders, and the finished flows
+/// come off the back and fire in admission order.
+/// docs/SCHED_FAST_PATH.md §3–4 has the design and the ordering rules.
 class BandwidthResource {
  public:
   using Callback = Simulator::Callback;
@@ -71,6 +73,12 @@ class BandwidthResource {
     Callback on_done;
   };
 
+  /// An active flow, beside its remainder in remaining_.
+  struct Flow {
+    uint64_t admitted;  ///< admission number: the firing order
+    uint32_t slot;      ///< index into callbacks_
+  };
+
   /// Latency event: admits the oldest pending transfer. Every latency
   /// event of one resource has the same delay, so they fire in the
   /// order they were scheduled — the FIFO's order.
@@ -79,20 +87,24 @@ class BandwidthResource {
   /// Advances all flows to Now() at the current rate, fires the
   /// finished ones and schedules the next completion wake.
   void Reschedule();
+  /// Schedules the wake at the smallest remainder, after finishing the
+  /// flows whose completion would round back to Now().
+  void ScheduleWake();
+  /// Fires, in admission order, the flows left with at most
+  /// `threshold` bytes: the back of the table.
+  void FireFinished(double threshold);
   /// Fires completions that are due now; invoked by the wake event.
   void OnWake(uint64_t generation);
   double CurrentRatePerFlow() const;
-  /// One pass over the flows in admission order: advances each by
-  /// `progressed` bytes, fires those left with at most `threshold`,
-  /// compacts the rest and returns their smallest remainder (infinity
-  /// when none is left).
-  double Sweep(double progressed, double threshold);
 
   Simulator* simulator_;
   BandwidthResourceOptions options_;
-  // Active flows, parallel arrays in admission order.
+  // Active flows, parallel arrays sorted by remaining bytes, largest
+  // first.
   std::vector<double> remaining_;
-  std::vector<Callback> on_done_;
+  std::vector<Flow> flows_;
+  CallbackSlots callbacks_;  ///< callbacks of active flows
+  uint64_t next_admission_ = 0;
   // Latency FIFO: a ring over pending_ (capacity = pending_.size()).
   std::vector<Pending> pending_;
   size_t pending_head_ = 0;

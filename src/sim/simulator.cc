@@ -8,22 +8,24 @@
 
 namespace taskbench::sim {
 
+uint32_t CallbackSlots::Put(Callback cb) {
+  if (free_.empty()) {
+    TB_CHECK(slots_.size() < std::numeric_limits<uint32_t>::max())
+        << "too many callbacks";
+    slots_.push_back(std::move(cb));
+    return static_cast<uint32_t>(slots_.size() - 1);
+  }
+  const uint32_t slot = free_.back();
+  free_.pop_back();
+  slots_[slot] = std::move(cb);
+  return slot;
+}
+
 void Simulator::At(SimTime t, Callback cb) {
   TB_CHECK(t >= now_) << "cannot schedule event in the past: t=" << t
                       << " now=" << now_;
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    TB_CHECK(slots_.size() < std::numeric_limits<uint32_t>::max())
-        << "too many pending events";
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(std::move(cb));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(cb);
-  }
-  heap_.push_back(Entry{t, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
+  heap_.push_back(Entry{t, next_seq_++, slots_.Put(std::move(cb))});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   if (heap_.size() > max_pending_) max_pending_ = heap_.size();
 }
 
@@ -35,13 +37,12 @@ void Simulator::After(SimTime delay, Callback cb) {
 SimTime Simulator::Run() {
   stopped_ = false;
   while (!heap_.empty() && !stopped_) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Entry next = heap_.back();
     heap_.pop_back();
     // The callback may schedule new events (which can reuse this slot
     // or grow slots_), so it leaves its slot before it runs.
-    Callback cb = std::move(slots_[next.slot]);
-    free_slots_.push_back(next.slot);
+    Callback cb = slots_.Take(next.slot);
     now_ = next.time;
     ++events_executed_;
     cb();

@@ -3,12 +3,35 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace taskbench::sim {
 
 /// Simulated time in seconds since simulation start.
 using SimTime = double;
+
+/// Callbacks in stable slots, reused through a free list: each is moved
+/// in once and moved out once, and a slot's index names its callback
+/// until it is taken. The event queue keeps its pending events'
+/// callbacks here, and BandwidthResource its active flows'.
+class CallbackSlots {
+ public:
+  using Callback = std::function<void()>;
+
+  /// Stores `cb` in a free slot and returns the slot's index.
+  uint32_t Put(Callback cb);
+
+  /// Moves the callback out of `slot` and frees the slot.
+  Callback Take(uint32_t slot) {
+    free_.push_back(slot);
+    return std::move(slots_[slot]);
+  }
+
+ private:
+  std::vector<Callback> slots_;
+  std::vector<uint32_t> free_;  ///< slots_ indices free for reuse
+};
 
 /// A deterministic discrete-event simulator.
 ///
@@ -17,9 +40,10 @@ using SimTime = double;
 /// The simulated cluster executor and the storage/bus contention models
 /// are built on top of this engine.
 ///
-/// The queue is a binary heap of plain {time, seq, slot} entries; the
-/// callbacks live in a slot array that is reused as events fire, and
-/// each callback is moved out of its slot once, just before it runs.
+/// The queue is a binary heap of plain {time, seq, slot} entries under
+/// an inlined (time, seq) order; the callbacks live in a slot array
+/// that is reused as events fire, and each callback is moved out of
+/// its slot once, just before it runs.
 /// A callback that fits std::function's inline buffer (16 bytes of
 /// trivially copyable captures, e.g. {this, pointer}) therefore costs
 /// no allocation from schedule to fire once the arrays have grown to
@@ -67,15 +91,18 @@ class Simulator {
     uint32_t slot;  ///< index into slots_
   };
 
-  /// Heap order: the earliest (time, seq) on top.
-  static bool Later(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
+  /// Heap order: the earliest (time, seq) on top. A function object,
+  /// not a function pointer, so std::push_heap and std::pop_heap
+  /// inline the comparison.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
 
   std::vector<Entry> heap_;
-  std::vector<Callback> slots_;        ///< callbacks of pending events
-  std::vector<uint32_t> free_slots_;   ///< slots_ indices free for reuse
+  CallbackSlots slots_;  ///< callbacks of pending events
   SimTime now_ = 0.0;
   size_t max_pending_ = 0;
   uint64_t next_seq_ = 0;

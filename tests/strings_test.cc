@@ -14,8 +14,12 @@ TEST(StringsTest, StrFormatBasic) {
 }
 
 TEST(StringsTest, StrFormatLongOutput) {
-  const std::string big(500, 'a');
-  EXPECT_EQ(StrFormat("%s", big.c_str()).size(), 500u);
+  // Around the 256-byte first pass and well past it.
+  for (size_t size : {255, 256, 257, 500}) {
+    const std::string big(size, 'a');
+    EXPECT_EQ(StrFormat("%s", big.c_str()), big);
+    EXPECT_EQ(StrFormat("%s!", big.c_str()), big + "!");
+  }
 }
 
 TEST(StringsTest, HumanBytes) {
